@@ -18,8 +18,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import integrate
 
-from .chart_geometry import height_coordinate, radius_from_height
-from .flow_engine import RadialProfile, annulus_profile, lp_length, single_flow
+from .chart_geometry import TWO_PI, radius_from_height
+from .flow_engine import (FlowSpec, QuadratureError, RadialProfile,
+                          annulus_profile, arc_integral, knot_arcs, lp_length,
+                          single_flow)
 
 GG_RELATIVE_TOL = 1e-10
 SOLVE_RESIDUAL_TOL = 1e-10
@@ -38,78 +40,54 @@ class SingularMatrixError(RuntimeError):
     """Profile family produced a rank-deficient moment matrix."""
 
 
-def _omega_tilde(profile: RadialProfile):
-    """Twist rate as a function of the height coordinate u in (-1, 1]."""
-
-    def value(u: float) -> float:
-        uu = min(max(u, -1.0 + 1e-15), 1.0)
-        return profile.omega(radius_from_height(uu))
-
-    return value
-
-
 def gg_rhs(profile: RadialProfile, n: int) -> float:
     """Predicted growth rate of the 2n-point averaged invariant.
 
     Equals (n/2) times the integral over u in [-1, 1] of
-    (u^(2n-1) - u) * omega_tilde(u), computed adaptively with breakpoints
-    at the profile knots.
+    (u^(2n-1) - u) * omega_tilde(u).  With u = cos(theta), theta = 2 arctan r,
+    each knot arc contributes the integral of (cos^(2n-1) - cos)(theta) times
+    the trigonometric polynomial omega * sin(theta), by Gauss-Legendre with
+    the gap to twice the order as error estimate (`arc_integral`); the
+    constant head and tail are exact polynomials in u.
     """
     if n < 2:
         raise ValueError("need n >= 2 (at least 4 sampled points)")
-    wt = _omega_tilde(profile)
+    lo, hi, a, b = knot_arcs(profile.radii, profile.values)
     power = 2 * n - 1
-
-    def integrand(u: float) -> float:
-        return (u ** power - u) * wt(u)
-
-    points = sorted({height_coordinate(r) for r in profile.breakpoint_radii()
-                     if r > 0.0})
-    limit = max(200, 2 * len(points) + 10)
-    value, _err = integrate.quad(integrand, -1.0, 1.0, points=points or None,
-                                 epsabs=1e-13, epsrel=GG_RELATIVE_TOL,
-                                 limit=limit)
-    return 0.5 * n * value
+    inner, err = arc_integral(
+        lambda theta, h: (np.cos(theta) ** power - np.cos(theta)) * h,
+        lo[1:-1], hi[1:-1], a[1:-1], b[1:-1])
+    # antiderivative of u^(2n-1) - u at u = 1, the head end, the tail end, -1
+    u = np.array([1.0, math.cos(hi[0]), math.cos(lo[-1]), -1.0])
+    moment = u ** (2 * n) / (2 * n) - 0.5 * u * u
+    value = inner + a[0] * (moment[0] - moment[1]) + a[-1] * (moment[2] - moment[3])
+    if err > GG_RELATIVE_TOL * abs(value) + 1e-13:
+        raise QuadratureError(
+            f"gg_rhs error estimate {err:.3e} too large for value {value:.6e}")
+    return 0.5 * n * float(value)
 
 
 def psi0(a: complex, tol: float = 1e-6) -> float:
     """Integral of 1/|z - a| against the round density over the plane.
 
     Polar coordinates centered at a absorb the kernel singularity exactly,
-    leaving a smooth angular integral inside an adaptive radial one.  The
-    integrand only depends on |a|.
+    and the angular integral has the closed form
+    2 pi (1 + |a|^2 + rho^2) / ((1 + (|a| - rho)^2)(1 + (|a| + rho)^2))^(3/2),
+    leaving one adaptive radial quadrature.  The value only depends on |a|.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     aa = abs(complex(a))
 
-    def angular(rho: float) -> tuple[float, float]:
-        base = 1.0 + aa * aa + rho * rho
-        cross = 2.0 * aa * rho
-
-        def f(phi: float) -> float:
-            return 1.0 / (base + cross * math.cos(phi)) ** 2
-
-        # the integrand peaks at phi = pi, sharply so when rho is near |a|
-        return integrate.quad(f, 0.0, 2.0 * math.pi, points=[math.pi],
-                              epsabs=1e-14, epsrel=tol / 10.0, limit=200)
-
     def radial(rho: float) -> float:
-        return angular(rho)[0]
+        return (TWO_PI * (1.0 + aa * aa + rho * rho)
+                / ((1.0 + (aa - rho) ** 2) * (1.0 + (aa + rho) ** 2)) ** 1.5)
 
-    cuts = [c for c in (0.0, 0.5 * aa, 2.0 * (aa + 1.0)) if c > 0.0]
-    cuts = [0.0] + sorted(set(cuts))
-    total = 0.0
-    err = 0.0
-    for lo, hi in zip(cuts, cuts[1:]):
-        v, e = integrate.quad(radial, lo, hi, epsabs=1e-14, epsrel=tol / 4.0,
-                              limit=200)
-        total += v
-        err += e
-    v, e = integrate.quad(radial, cuts[-1], np.inf, epsabs=1e-14,
-                          epsrel=tol / 4.0, limit=200)
-    total += v
-    err += e
+    # the radial integrand peaks near rho = |a|, sharply when |a| is large
+    cuts = sorted({0.0, 0.5 * aa, aa, 2.0 * (aa + 1.0)}) + [np.inf]
+    parts = [integrate.quad(radial, lo, hi, epsabs=1e-14, epsrel=tol / 4.0,
+                            limit=200) for lo, hi in zip(cuts, cuts[1:])]
+    total, err = (sum(x) for x in zip(*parts))
     if err > tol * abs(total):
         raise PsiConvergenceError("psi0 quadrature did not converge",
                                   err / abs(total))
@@ -175,16 +153,6 @@ def default_embedding_profiles(d: int, height: float = 1.0,
     return tuple(out)
 
 
-def _check_disjoint_supports(profiles) -> None:
-    spans = [p.support_bounds() for p in profiles]
-    for i in range(len(spans)):
-        for j in range(i + 1, len(spans)):
-            lo = max(spans[i][0], spans[j][0])
-            hi = min(spans[i][1], spans[j][1])
-            if lo < hi:
-                raise ValueError("profile supports overlap")
-
-
 def sign_matrix(profiles) -> EmbeddingReport:
     """Moment matrix M[n-1][i] = gg_rhs(profiles[i], n+1) and its inverse.
 
@@ -197,7 +165,7 @@ def sign_matrix(profiles) -> EmbeddingReport:
     d = len(profiles)
     if d < 1:
         raise ValueError("need at least one profile")
-    _check_disjoint_supports(profiles)
+    FlowSpec(tuple((prof, 1.0) for prof in profiles))  # rejects overlaps
     m = np.array([[gg_rhs(prof, n + 1) for prof in profiles]
                   for n in range(1, d + 1)])
     det = float(np.linalg.det(m))

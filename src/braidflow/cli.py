@@ -431,8 +431,11 @@ def cmd_lp_length(params: dict, out: Path) -> int:
         raise ConfigError("t_list must be nonempty")
     rows = []
     for t in t_list:
-        spec = flow_engine.FlowSpec(((profile, weight),), t)
-        length = flow_engine.lp_length(spec, p)
+        try:
+            length = flow_engine.lp_length(
+                flow_engine.FlowSpec(((profile, weight),), t), p)
+        except ValueError as exc:  # p below 1, or a duration t <= 0
+            raise ConfigError(str(exc)) from exc
         rows.append((t, p, length, length / t))
     per_t = [r[3] for r in rows]
     scaling_ok = (max(per_t) - min(per_t)) <= 1e-9 * max(per_t)

@@ -126,6 +126,15 @@ def test_unknown_config_key_is_rejected(tmp_path):
     assert code == 4
 
 
+def test_lp_length_bad_exponent_or_duration_is_a_config_error(tmp_path):
+    code, _ = run(tmp_path, "a", "lp-length", "--p", "0.5")
+    assert code == 4
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t_list": [0.0, 1.0]}))
+    code, _ = run(tmp_path, "b", "lp-length", "--config", str(cfg))
+    assert code == 4
+
+
 def test_unknown_flag_is_rejected(tmp_path):
     code, _ = run(tmp_path, "a", "lp-length", "--bogus")
     assert code == 4

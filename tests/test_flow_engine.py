@@ -41,6 +41,17 @@ def test_rigid_rotation_l2_closed_form():
     assert lp_length(spec, 2.0) == pytest.approx(RIGID_L2, rel=1e-9)
 
 
+def test_rigid_rotation_lp_closed_form_up_to_high_p():
+    # speed pi sin(theta) against pi sin(theta) dtheta: the p-th power
+    # integrates to pi^(p + 3/2) Gamma(p/2 + 1) / Gamma(p/2 + 3/2)
+    spec = single_flow(constant_profile(1.0))
+    for p in (1.0, 3.0, 7.3, 60.0):
+        log_total = ((p + 1.5) * math.log(math.pi) + math.lgamma(p / 2 + 1)
+                     - math.lgamma(p / 2 + 1.5))
+        assert lp_length(spec, p) == pytest.approx(math.exp(log_total / p),
+                                                   rel=1e-9)
+
+
 def test_lp_length_linear_in_duration_and_weight():
     prof = step_profile(1.0, 0.7)
     base = lp_length(single_flow(prof), 3.0)
@@ -57,9 +68,9 @@ def test_lp_length_sup_norm():
 
 
 def test_lp_length_rejects_bad_exponent():
-    spec = single_flow(constant_profile(1.0))
-    with pytest.raises(ValueError):
-        lp_length(spec, 0.5)
+    for spec in (single_flow(constant_profile(1.0)), FlowSpec(tuple(), 1.0)):
+        with pytest.raises(ValueError):
+            lp_length(spec, 0.5)
 
 
 def test_lp_length_empty_spec_is_zero():
