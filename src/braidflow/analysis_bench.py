@@ -44,7 +44,8 @@ def gg_rhs(profile: RadialProfile, n: int) -> float:
     """Predicted growth rate of the 2n-point averaged invariant.
 
     Equals (n/2) times the integral over u in [-1, 1] of
-    (u^(2n-1) - u) * omega_tilde(u).  With u = cos(theta), theta = 2 arctan r,
+    (u^(2n-1) - u) * omega(r(u)), the profile read at the chart radius r of
+    height u.  With u = cos(theta), theta = 2 arctan r,
     each knot arc contributes the integral of (cos^(2n-1) - cos)(theta) times
     the trigonometric polynomial omega * sin(theta), by Gauss-Legendre with
     the gap to twice the order as error estimate (`arc_integral`); the

@@ -8,11 +8,17 @@ piecewise-linear interpolation as the curve itself.  Along a straight chord
 the relative angle of any pair moves monotonically, so once every sampled
 step is below the refinement threshold the polygonal model crosses exactly
 the same projection rays as its chords and the combinatorics are exact.
+
+The loops one sampled tuple traces under several flows or durations share
+their start: `trace_words` builds the inbound path once, refines each flow
+once up to its longest duration, and finds the crossings of that shared
+part once per projection direction.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -25,6 +31,7 @@ DEFAULT_SEPARATION = 1e-9
 DEFAULT_MAX_STEP = math.pi / 8
 REFINE_CAP = 2 ** 20
 DEFAULT_DIRECTION = complex(np.exp(1j * 0.7528431093))
+DEFAULT_RETRIES = 16
 _RETRY_TURN = 0.37311
 
 
@@ -101,28 +108,45 @@ class Segment:
     points: np.ndarray  # (len(times), n) complex
 
 
-def _pair_index(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+@functools.lru_cache(maxsize=16)
+def _pair_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Strand indices (i, j), i < j, of every pair in row-major order.
+
+    Cached, because np.triu_indices is slow next to the small arrays it
+    indexes; the cached arrays are read-only.
+    """
+    i, j = np.triu_indices(n, 1)
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
 
 
 def _wrapped_steps(z: np.ndarray) -> np.ndarray:
     """Principal-value angle increments along axis 0 of a complex array."""
     ang = np.angle(z)
-    d = np.diff(ang, axis=0)
+    d = ang[1:] - ang[:-1]
     return (d + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _refine(evaluate, t0: float, t1: float, n_initial: int, kind: str,
-            max_step: float, pairs: list[tuple[int, int]]) -> Segment:
-    """Sample evaluate() on [t0, t1] until all pair-angle steps are small."""
-    times = np.linspace(t0, t1, n_initial)
+def _unwrapped(w: np.ndarray, start) -> np.ndarray:
+    """Continuous angles of the columns of w, starting from `start`."""
+    psi = np.empty(w.shape)
+    psi[0] = start
+    np.cumsum(_wrapped_steps(w), axis=0, out=psi[1:])
+    psi[1:] += start
+    return psi
+
+
+def _refine(evaluate, times: np.ndarray, kind: str, max_step: float,
+            n: int) -> Segment:
+    """Bisect the sample times until all pair-angle steps are small."""
+    i, j = _pair_columns(n)
     while True:
         pts = evaluate(times)
-        if not pairs:
+        if i.size == 0:
             return Segment(kind, times, pts)
-        rel = np.stack([pts[:, i] - pts[:, j] for i, j in pairs], axis=1)
-        steps = np.abs(_wrapped_steps(rel))
-        bad = np.nonzero(np.max(steps, axis=1) > max_step)[0]
+        steps = np.abs(_wrapped_steps(pts[:, i] - pts[:, j]))
+        bad = np.nonzero(steps.max(axis=1) > max_step)[0]
         if bad.size == 0:
             return Segment(kind, times, pts)
         if times.size + bad.size > REFINE_CAP:
@@ -133,13 +157,13 @@ def _refine(evaluate, t0: float, t1: float, n_initial: int, kind: str,
 
 
 def _check_separation(pts: np.ndarray, delta: float, kind: str):
-    n = pts.shape[1]
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = float(np.min(np.abs(pts[:, i] - pts[:, j])))
-            if m <= delta:
-                raise PathCollisionError(
-                    f"{kind} segment brings points {i},{j} within {m:.3e}")
+    i, j = _pair_columns(pts.shape[1])
+    closest = np.min(np.abs(pts[:, i] - pts[:, j]), axis=0, initial=np.inf)
+    hit = np.nonzero(closest <= delta)[0]
+    if hit.size:
+        k = hit[0]
+        raise PathCollisionError(f"{kind} segment brings points {i[k]},{j[k]} "
+                                 f"within {closest[k]:.3e}")
 
 
 def _linear_min_distance(a0: complex, a1: complex) -> float:
@@ -165,17 +189,18 @@ def short_path(frm: ConfigTuple, to: ConfigTuple, mode: str = "linear",
     if frm.n != to.n:
         raise ValueError("tuples have different sizes")
     za, zb = frm.coords(), to.coords()
-    pairs = _pair_index(frm.n)
     if mode == "linear":
-        for i, j in pairs:
-            if _linear_min_distance(za[i] - za[j], zb[i] - zb[j]) <= delta_sep:
+        a, b = za.tolist(), zb.tolist()
+        for i, j in zip(*_pair_columns(frm.n)):
+            if _linear_min_distance(a[i] - a[j], b[i] - b[j]) <= delta_sep:
                 raise PathCollisionError(f"chords of points {i},{j} collide")
 
         def evaluate(ts):
             s = ts[:, None]
             return (1.0 - s) * za[None, :] + s * zb[None, :]
 
-        return _refine(evaluate, 0.0, 1.0, 17, "short", max_step, pairs)
+        return _refine(evaluate, np.linspace(0.0, 1.0, 17), "short", max_step,
+                       frm.n)
     if mode == "geodesic":
         pa = frm.points
         pb = to.points
@@ -187,7 +212,8 @@ def short_path(frm: ConfigTuple, to: ConfigTuple, mode: str = "linear",
                     out[row, col] = geodesic_path(x, y, float(t)).require_finite()
             return out
 
-        seg = _refine(evaluate, 0.0, 1.0, 33, "short", max_step, pairs)
+        seg = _refine(evaluate, np.linspace(0.0, 1.0, 33), "short", max_step,
+                      frm.n)
         _check_separation(seg.points, delta_sep, "short")
         return seg
     raise ValueError(f"unknown mode {mode!r}")
@@ -227,24 +253,20 @@ class LoopTrace:
             return psi
         z = self.samples()
         w = z[:, i] - z[:, j]
-        steps = _wrapped_steps(w[:, None])[:, 0]
-        psi = np.empty(w.shape[0])
-        psi[0] = math.atan2(w[0].imag, w[0].real)
-        np.cumsum(steps, out=psi[1:])
-        psi[1:] += psi[0]
+        psi = _unwrapped(w, math.atan2(w[0].imag, w[0].real))
         self._pair_cache[(i, j)] = psi
         return psi
 
 
-def build_loop(spec: FlowSpec, x: ConfigTuple, base: ConfigTuple,
-               mode: str = "linear", delta_sep: float = DEFAULT_SEPARATION,
-               max_step: float = DEFAULT_MAX_STEP) -> LoopTrace:
-    """Short path in, flow trace, short path back; refined and collision-checked."""
-    if x.n != base.n:
-        raise ValueError("tuple sizes differ")
-    inbound = short_path(base, x, mode, delta_sep, max_step)
-    zx = x.coords()
-    T = spec.duration
+def _flow_segment(spec: FlowSpec, zx: np.ndarray, durations: np.ndarray,
+                  delta_sep: float, max_step: float) -> Segment:
+    """The flow's trace from zx on [0, max(durations)], refined and checked.
+
+    The flow is autonomous, so its trace up to any duration is a prefix of
+    this one.  Every duration is on the initial grid and bisection only adds
+    times, so each prefix ends exactly at its duration and meets the step
+    criterion by itself.
+    """
     rates = np.atleast_1d(spec.angular_rate(np.abs(zx)))
     spread = float(np.max(rates) - np.min(rates)) if len(zx) > 1 else 0.0
 
@@ -252,13 +274,74 @@ def build_loop(spec: FlowSpec, x: ConfigTuple, base: ConfigTuple,
         # same arithmetic as flow_engine.trajectory, one row per time
         return zx[None, :] * np.exp(2j * math.pi * rates[None, :] * ts[:, None])
 
-    n_init = max(17, int(math.ceil(4.0 * spread * T)) + 1)
-    flow_seg = _refine(evaluate, 0.0, T, n_init, "flow", max_step,
-                       _pair_index(x.n))
-    _check_separation(flow_seg.points, delta_sep, "flow")
-    y = tuple_from_coords(flow_seg.points[-1])
-    outbound = short_path(y, base, mode, delta_sep, max_step)
-    return LoopTrace(base, spec, T, (inbound, flow_seg, outbound))
+    t_max = float(durations[-1])
+    n_init = max(17, int(math.ceil(4.0 * spread * t_max)) + 1)
+    times = np.union1d(np.linspace(0.0, t_max, n_init), durations)
+    seg = _refine(evaluate, times, "flow", max_step, len(zx))
+    _check_separation(seg.points, delta_sep, "flow")
+    return seg
+
+
+def _trace_legs(specs, x: ConfigTuple, base: ConfigTuple, mode: str,
+                delta_sep: float, max_step: float):
+    """Inbound path, and per distinct flow (flow, [(k, index, outbound)]).
+
+    Specs with the same components share one flow segment, refined to the
+    longest of their durations.  The loop of specs[k] runs along it up to
+    flow.times[index], its duration, and returns from there by outbound.
+    """
+    if x.n != base.n:
+        raise ValueError("tuple sizes differ")
+    inbound = short_path(base, x, mode, delta_sep, max_step)
+    zx = x.coords()
+    groups: dict = {}
+    for k, spec in enumerate(specs):
+        groups.setdefault(spec.components, []).append(k)
+    flows = []
+    for ks in groups.values():
+        durations = np.unique([specs[k].duration for k in ks])
+        flow = _flow_segment(specs[ks[0]], zx, durations, delta_sep, max_step)
+        legs = []
+        for k in ks:
+            idx = int(np.searchsorted(flow.times, specs[k].duration))
+            y = tuple_from_coords(flow.points[idx])
+            legs.append((k, idx, short_path(y, base, mode, delta_sep,
+                                            max_step)))
+        flows.append((flow, legs))
+    return inbound, flows
+
+
+def build_loop(spec: FlowSpec, x: ConfigTuple, base: ConfigTuple,
+               mode: str = "linear", delta_sep: float = DEFAULT_SEPARATION,
+               max_step: float = DEFAULT_MAX_STEP) -> LoopTrace:
+    """Short path in, flow trace, short path back; refined and collision-checked."""
+    inbound, [(flow, [(_k, _idx, outbound)])] = _trace_legs(
+        [spec], x, base, mode, delta_sep, max_step)
+    return LoopTrace(base, spec, spec.duration, (inbound, flow, outbound))
+
+
+def trace_words(specs, x: ConfigTuple, base: ConfigTuple,
+                omega: complex | None = None, mode: str = "linear"):
+    """Braid word of the loop each spec traces from x, from one shared trace.
+
+    Equal to [extract_braid(build_loop(spec, x, base, ...), omega) for spec
+    in specs] up to the spelling of each word, and rejected (TraceRejection)
+    when any of those loops would be.  The inbound path is built
+    once, the flow once per distinct set of components, and the crossing
+    events of inbound path plus flow once per projection direction; only
+    the outbound paths and their events are per spec.
+    """
+    inbound, flows = _trace_legs(specs, x, base, mode, DEFAULT_SEPARATION,
+                                 DEFAULT_MAX_STEP)
+    head = len(inbound.times) - 1
+    words = [None] * len(specs)
+    for flow, legs in flows:
+        prefix = np.concatenate([inbound.points, flow.points[1:]])
+        tails = [(head + idx, out.points[1:]) for _k, idx, out in legs]
+        for (k, _idx, _out), word in zip(
+                legs, _read_words(prefix, tails, omega, DEFAULT_RETRIES)):
+            words[k] = word
+    return words
 
 
 def winding(loop: LoopTrace, i: int, j: int) -> float:
@@ -296,38 +379,34 @@ def crossing_counts(loop: LoopTrace, i: int, j: int,
     return np.abs(hi - lo).sum(axis=0).astype(int)
 
 
-def _pair_events(psi: np.ndarray, w: np.ndarray, chi: float):
-    """Ray-crossing events of one pair against direction angle chi.
+def _ray_events(psi: np.ndarray, w: np.ndarray, chi: float):
+    """Crossings of all pair vectors w (samples x pairs) over the line at chi.
 
-    Returns (edge, fraction, parity, sign) per event, where parity 0 means
-    the relative vector points along +omega (first strand on top) and sign
-    +1 means the relative angle was increasing (counterclockwise).
+    Returns (edge, fraction, pair, sign) arrays sorted by edge and fraction,
+    where sign +1 means the pair angle psi was increasing (counterclockwise).
     """
     rel = (psi - chi) / math.pi
     if np.any(rel == np.round(rel)):
         raise DegenerateDirectionError("sample lies exactly on the ray")
-    lo = np.floor(rel[:-1])
-    hi = np.floor(rel[1:])
-    hit = np.nonzero(hi != lo)[0]
-    events = []
-    for e in hit:
-        level = max(lo[e], hi[e])  # single level crossed; steps < pi/8
-        if abs(hi[e] - lo[e]) != 1.0:
-            raise DegenerateDirectionError("multiple rays crossed in one edge")
-        u = np.exp(1j * (chi + level * math.pi))
-        ya = (w[e] / u).imag
-        yb = (w[e + 1] / u).imag
-        if ya == yb:
-            raise DegenerateDirectionError("tangent edge")
-        s = ya / (ya - yb)
-        parity = int(level) % 2
-        sign = 1 if psi[e + 1] > psi[e] else -1
-        events.append((int(e), float(s), parity, sign))
-    return events
+    level = np.floor(rel)
+    jump = np.diff(level, axis=0)
+    edge, pair = np.nonzero(jump)
+    if np.any(np.abs(jump[edge, pair]) != 1.0):  # steps < pi/8 cross one ray
+        raise DegenerateDirectionError("multiple rays crossed in one edge")
+    ray = np.exp(1j * (chi + math.pi * np.maximum(level[edge, pair],
+                                                   level[edge + 1, pair])))
+    ya = (w[edge, pair] / ray).imag
+    yb = (w[edge + 1, pair] / ray).imag
+    if np.any(ya == yb):
+        raise DegenerateDirectionError("tangent edge")
+    frac = ya / (ya - yb)
+    sign = np.where(psi[edge + 1, pair] > psi[edge, pair], 1, -1)
+    order = np.lexsort((frac, edge))
+    return edge[order], frac[order], pair[order], sign[order]
 
 
 def extract_braid(loop: LoopTrace, omega: complex | None = None,
-                  max_retries: int = 16):
+                  max_retries: int = DEFAULT_RETRIES):
     """Braid word of the loop from the projection along a generic direction.
 
     Strands are ordered by the projection coordinate; every adjacent swap
@@ -336,13 +415,34 @@ def extract_braid(loop: LoopTrace, omega: complex | None = None,
     convention that the closure of s_1^2 is the positively linked Hopf link).
     Degenerate directions are retried with a deterministic turn.
     """
+    z = loop.samples()
+    return _read_words(z, [(len(z) - 1, z[:0])], omega, max_retries)[0]
+
+
+def _read_words(prefix: np.ndarray, tails, omega: complex | None,
+                max_retries: int):
+    """Braid words of loops that share their first samples.
+
+    Loop k is prefix[:cut + 1] followed by tail, for (cut, tail) = tails[k].
+    The prefix's events are found once per direction, and a loop keeps those
+    on edges before its cut.  A direction degenerate for one loop is retried
+    for that loop alone; one degenerate anywhere on the prefix is retried
+    for all.
+    """
     from .braid_algebra import BraidWord
 
-    n = loop.n
+    n = prefix.shape[1]
     if n == 1:
-        return BraidWord((), 1)
-    z = loop.samples()
-    pairs = _pair_index(n)
+        return [BraidWord((), 1)] * len(tails)
+    strands = _pair_columns(n)
+    w = prefix[:, strands[0]] - prefix[:, strands[1]]
+    psi = _unwrapped(w, np.angle(w[0]))
+    legs = []
+    for cut, tail in tails:
+        w_tail = np.concatenate([w[cut:cut + 1],
+                                 tail[:, strands[0]] - tail[:, strands[1]]])
+        legs.append((cut, w_tail, _unwrapped(w_tail, psi[cut])))
+    words = [None] * len(tails)
     base_omega = DEFAULT_DIRECTION if omega is None else omega
     last_err: Exception | None = None
     for attempt in range(max_retries):
@@ -350,42 +450,57 @@ def extract_braid(loop: LoopTrace, omega: complex | None = None,
         om /= abs(om)
         chi = math.atan2(om.imag, om.real)
         try:
-            return _extract_with_direction(loop, z, pairs, om, chi, n)
+            order = _initial_order(prefix[0], om)
+            shared = _ray_events(psi, w, chi)
         except DegenerateDirectionError as err:
             last_err = err
+            continue
+        for k, (cut, w_tail, psi_tail) in enumerate(legs):
+            if words[k] is not None:
+                continue
+            try:
+                own = _ray_events(psi_tail, w_tail, chi)
+                keep = int(np.searchsorted(shared[0], cut))
+                events = [np.concatenate((a[:keep], b)) for a, b
+                          in zip(shared, (own[0] + cut,) + own[1:])]
+                words[k] = _word_from_events(order, strands, *events)
+            except DegenerateDirectionError as err:
+                last_err = err
+        if all(word is not None for word in words):
+            return words
     raise ExtractionError(
         f"no generic projection direction in {max_retries} tries: {last_err}")
 
 
-def _extract_with_direction(loop: LoopTrace, z: np.ndarray, pairs, om, chi, n):
+def _initial_order(z0: np.ndarray, om: complex) -> list[int]:
+    positions = (z0 / om).imag
+    if len(set(positions.tolist())) != len(z0):
+        raise DegenerateDirectionError("projection ties at the base tuple")
+    return [int(k) for k in np.argsort(positions)]
+
+
+def _word_from_events(order: list[int], strands, edge, frac, pair, sign):
+    """Walk the strand order through the sorted events, one letter each."""
     from .braid_algebra import BraidWord, permutation
 
-    positions = (z[0] / om).imag
-    order = list(np.argsort(positions))
-    initial_order = order.copy()
-    if len(set(positions.tolist())) != n:
-        raise DegenerateDirectionError("projection ties at the base tuple")
-    events = []
-    for (i, j) in pairs:
-        psi = loop.pair_angles(i, j)
-        w = z[:, i] - z[:, j]
-        for (e, s, parity, sign) in _pair_events(psi, w, chi):
-            events.append((e, s, i, j, parity, sign))
-    events.sort(key=lambda ev: (ev[0], ev[1]))
-    for a, b in zip(events, events[1:]):
-        if a[0] == b[0] and a[1] == b[1]:
-            raise DegenerateDirectionError("simultaneous crossings")
+    same = (edge[1:] == edge[:-1]) & (frac[1:] == frac[:-1])
+    if np.any(same):
+        raise DegenerateDirectionError("simultaneous crossings")
+    n = len(order)
+    position = [0] * n
+    for k, strand in enumerate(order):
+        position[strand] = k
+    first, second = strands[0].tolist(), strands[1].tolist()
     letters = []
-    for (e, s, i, j, parity, sign) in events:
-        pos_i = order.index(i)
-        pos_j = order.index(j)
+    for p, s in zip(pair.tolist(), sign.tolist()):
+        i, j = first[p], second[p]
+        pos_i, pos_j = position[i], position[j]
         if abs(pos_i - pos_j) != 1:
             raise DegenerateDirectionError("non-adjacent strands swapped")
-        k = min(pos_i, pos_j) + 1
-        letters.append(sign * k)
-        order[pos_i], order[pos_j] = order[pos_j], order[pos_i]
+        letters.append(s * (min(pos_i, pos_j) + 1))
+        position[i], position[j] = pos_j, pos_i
     word = BraidWord(tuple(letters), n)
-    if order != initial_order:
+    if any(position[strand] != k for k, strand in enumerate(order)):
         raise DegenerateDirectionError("strand order did not close up")
     if permutation(word) != tuple(range(n)):
         raise ExtractionError("extracted word is not a pure braid")

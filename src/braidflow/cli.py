@@ -11,6 +11,7 @@ byte-identical.  Exit codes: 0 pass, 2 numerical tolerance failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -156,7 +157,27 @@ def resolve_params(command: str, args) -> dict:
             params[key] = value
     if getattr(args, "mismatch_n", False):
         params["mismatch_n"] = True
+    for key, default in DEFAULTS[command].items():
+        value = params[key]
+        if type(default) is int and type(value) is not int:
+            raise ConfigError(f"{key} must be an integer, not {value!r}")
+    if params.get("seed", 0) < 0:
+        raise ConfigError("seed must be nonnegative")
     return params
+
+
+@contextlib.contextmanager
+def _refusal_is_config_error(kind=ValueError):
+    """Report a `kind` error raised on the parameters as a config error."""
+    try:
+        yield
+    except kind as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _flow(profile, duration) -> flow_engine.FlowSpec:
+    with _refusal_is_config_error():  # a duration <= 0
+        return flow_engine.single_flow(profile, float(duration))
 
 
 def _resolve_profile(desc) -> flow_engine.RadialProfile:
@@ -219,16 +240,18 @@ def _report(command: str, params: dict, results: dict,
 
 def cmd_gg_check(params: dict, out: Path) -> int:
     profile = _resolve_profile(params["profile"])
-    n_points = int(params["n_points"])
+    n_points = params["n_points"]
     if n_points < 4 or n_points % 2:
         raise ConfigError("n_points must be an even number >= 4")
     n_formula = n_points // 2 + (1 if params["mismatch_n"] else 0)
     gg = analysis_bench.gg_rhs(profile, n_formula)
     qm = braid_algebra.qm_for_strands(n_points, params["kind"])
-    bar = qm_estimator.phi_bar_estimate(
-        flow_engine.single_flow(profile), [float(t) for t in params["t_list"]],
-        n_points, qm, int(params["samples"]), int(params["seed"]),
-        convention=_convention(params["measure"]))
+    with _refusal_is_config_error(qm_estimator.EstimatorArgumentError):
+        bar = qm_estimator.phi_bar_estimate(
+            flow_engine.single_flow(profile),
+            [float(t) for t in params["t_list"]], n_points, qm,
+            params["samples"], params["seed"],
+            convention=_convention(params["measure"]))
     tol = max(3.0 * bar.stderr, float(params["tolerance_rel"]) * abs(gg))
     verdict = abs(bar.value - gg) <= tol
     write_csv(out / "gg-check.csv", ["t", "mean", "stderr"], bar.per_t)
@@ -247,7 +270,7 @@ def cmd_gg_check(params: dict, out: Path) -> int:
 
 def cmd_psi_bound(params: dict, out: Path) -> int:
     a_max = float(params["a_max"])
-    n_grid = int(params["n_grid"])
+    n_grid = params["n_grid"]
     tol = float(params["tol"])
     tail_a = float(params["tail_a"])
     if a_max <= 1.0 or n_grid < 3:
@@ -281,15 +304,15 @@ def cmd_psi_bound(params: dict, out: Path) -> int:
 
 
 def cmd_embed_demo(params: dict, out: Path) -> int:
-    d = int(params["d"])
+    d = params["d"]
     if not 1 <= d <= 4:
         raise ConfigError("d must be between 1 and 4")
     profiles = analysis_bench.default_embedding_profiles(
         d, float(params["height"]), float(params["ramp"]))
     rng = np.random.default_rng(
-        np.random.SeedSequence((int(params["seed"]), 0xE3BED)))
+        np.random.SeedSequence((params["seed"], 0xE3BED)))
     vs = rng.uniform(-float(params["v_scale"]), float(params["v_scale"]),
-                     size=(int(params["n_vectors"]), d))
+                     size=(params["n_vectors"], d))
     report = analysis_bench.evaluate_embedding(profiles, vs.tolist(),
                                                float(params["p"]))
     spread = (report.ratio_max / report.ratio_min
@@ -320,8 +343,8 @@ def cmd_embed_demo(params: dict, out: Path) -> int:
 
 def cmd_braid_of_flow(params: dict, out: Path) -> int:
     profile = _resolve_profile(params["profile"])
-    n_points = int(params["n_points"])
-    spec = flow_engine.single_flow(profile, float(params["duration"]))
+    n_points = params["n_points"]
+    spec = _flow(profile, params["duration"])
     base = braid_trace.base_tuple(n_points)
     if params["x"] is not None:
         coords = [complex(float(re), float(im)) for re, im in params["x"]]
@@ -331,7 +354,7 @@ def cmd_braid_of_flow(params: dict, out: Path) -> int:
         loop = braid_trace.build_loop(spec, x, base)
     else:
         rng = np.random.default_rng(
-            np.random.SeedSequence((int(params["seed"]), 0xB4A1D)))
+            np.random.SeedSequence((params["seed"], 0xB4A1D)))
         loop = None
         for _ in range(100):
             try:
@@ -374,20 +397,19 @@ def _disc_conditioned_tuple(rng: np.random.Generator, n: int,
 
 def cmd_coarea_check(params: dict, out: Path) -> int:
     profile = _resolve_profile(params["profile"])
-    n_points = int(params["n_points"])
+    n_points = params["n_points"]
     tol = float(params["tolerance_rel"])
     rng = np.random.default_rng(
-        np.random.SeedSequence((int(params["seed"]), 0xC0A4EA)))
+        np.random.SeedSequence((params["seed"], 0xC0A4EA)))
     plateau = min(r for r in profile.breakpoint_radii() if r > 0)
     rows = []
     worst = 0.0
-    for k in range(int(params["n_loops"])):
+    for k in range(params["n_loops"]):
         t_choices = params["t_choices"]
         duration = float(t_choices[k % len(t_choices)])
         x = _disc_conditioned_tuple(rng, n_points, 0.95 * plateau)
-        loop = braid_trace.build_loop(
-            flow_engine.single_flow(profile, duration), x,
-            braid_trace.base_tuple(n_points))
+        loop = braid_trace.build_loop(_flow(profile, duration), x,
+                                      braid_trace.base_tuple(n_points))
         for i in range(n_points):
             for j in range(i + 1, n_points):
                 # alignment with the ray omega happens once per full turn
@@ -397,7 +419,7 @@ def cmd_coarea_check(params: dict, out: Path) -> int:
                 for _ in range(5):
                     try:
                         omegas = np.exp(2j * np.pi
-                                        * rng.uniform(size=int(params["n_dirs"])))
+                                        * rng.uniform(size=params["n_dirs"]))
                         counts = braid_trace.crossing_counts(loop, i, j,
                                                              omegas)
                         break
@@ -431,11 +453,9 @@ def cmd_lp_length(params: dict, out: Path) -> int:
         raise ConfigError("t_list must be nonempty")
     rows = []
     for t in t_list:
-        try:
+        with _refusal_is_config_error():  # p below 1, or a duration t <= 0
             length = flow_engine.lp_length(
                 flow_engine.FlowSpec(((profile, weight),), t), p)
-        except ValueError as exc:  # p below 1, or a duration t <= 0
-            raise ConfigError(str(exc)) from exc
         rows.append((t, p, length, length / t))
     per_t = [r[3] for r in rows]
     scaling_ok = (max(per_t) - min(per_t)) <= 1e-9 * max(per_t)
@@ -462,15 +482,16 @@ def cmd_lp_length(params: dict, out: Path) -> int:
 
 def cmd_phi_estimate(params: dict, out: Path) -> int:
     profile = _resolve_profile(params["profile"])
-    n_points = int(params["n_points"])
+    n_points = params["n_points"]
     qm = braid_algebra.qm_for_strands(n_points, params["kind"])
     if params["homogenize"]:
         qm = braid_algebra.QmOnBraids(qm.kind, qm.ratio, qm.n_strands,
                                       qm.depth, homogenize=True)
-    est = qm_estimator.phi_estimate(
-        flow_engine.single_flow(profile, float(params["duration"])),
-        n_points, qm, int(params["samples"]), int(params["seed"]),
-        convention=_convention(params["measure"]))
+    with _refusal_is_config_error(qm_estimator.EstimatorArgumentError):
+        est = qm_estimator.phi_estimate(
+            _flow(profile, params["duration"]), n_points, qm,
+            params["samples"], params["seed"],
+            convention=_convention(params["measure"]))
     write_csv(out / "phi-estimate.csv",
               ["n_points", "duration", "samples", "value", "stderr",
                "rejected"],

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chart_geometry import ChartPoint, INFINITY, radius_from_height
+from .chart_geometry import ChartPoint, INFINITY
 
 
 class QuadratureError(RuntimeError):
@@ -62,15 +62,6 @@ class RadialProfile:
         """Angular speed (turns per unit time) at chart radius r."""
         out = np.interp(np.asarray(r, dtype=float), self.radii, self.values)
         return float(out) if np.isscalar(r) else out
-
-    def omega_tilde(self, u):
-        """Profile as a function of the height coordinate u in [-1, 1]."""
-        uu = np.asarray(u, dtype=float)
-        near_bottom = uu <= -1.0 + 1e-15
-        safe = np.where(near_bottom, 0.0, uu)
-        vals = self.omega(radius_from_height(np.clip(safe, -1.0 + 1e-15, 1.0)))
-        vals = np.where(near_bottom, self.tail_value, vals)
-        return float(vals) if np.isscalar(u) else vals
 
     def support_bounds(self) -> tuple[float, float]:
         """Closure of {r : omega(r) != 0} as an interval (lo, hi); hi may be inf."""
@@ -153,7 +144,7 @@ class FlowSpec:
     duration: float = 1.0
 
     def __post_init__(self):
-        if self.duration <= 0:
+        if not self.duration > 0:  # refuses nan too
             raise ValueError("duration must be positive")
         sup = [p.support_bounds() for p, w in self.components if w != 0.0]
         for i in range(len(sup)):

@@ -24,6 +24,7 @@ from .braid_trace import (
     build_loop,
     extract_braid,
     random_tuple,
+    trace_words,
 )
 from .chart_geometry import MeasureConvention, PROBABILITY
 from .flow_engine import FlowSpec, compose_specs
@@ -34,6 +35,10 @@ _MAX_DRAWS_PER_SAMPLE = 10_000
 
 class RejectionBudgetError(RuntimeError):
     """Too many degenerate samples for the configured ceiling."""
+
+
+class EstimatorArgumentError(ValueError):
+    """Sample count or durations refused before any sample is drawn."""
 
 
 @dataclass(frozen=True)
@@ -89,18 +94,22 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return mean, float(np.std(values, ddof=1)) / math.sqrt(len(values))
 
 
-def _draw_values(spec_for_t, t_list, n_points, qm, samples, seed, base,
-                 omega, mode, ceiling):
-    """values[k, ti] for each sample k and duration index ti; CRN across T."""
-    values = np.empty((samples, len(t_list)))
+def _draw_values(specs, n_points, qm, samples, seed, base, omega, mode,
+                 ceiling):
+    """values[k, s] for each sample k and spec s; CRN across the specs.
+
+    Each sample is traced once for all specs (see trace_words): they share
+    the inbound path, and specs that differ only in duration share the flow.
+    """
+    values = np.empty((samples, len(specs)))
     rejected = 0
     for k in range(samples):
         rng = _sample_rng(seed, k)
         for _attempt in range(_MAX_DRAWS_PER_SAMPLE):
             try:
                 x = random_tuple(rng, n_points)
-                row = [integrand(spec_for_t(t), x, qm, omega, base, mode)
-                       for t in t_list]
+                words = trace_words(specs, x, base, omega, mode)
+                row = [evaluate_word(word, qm) for word in words]
             except TraceRejection:
                 rejected += 1
                 continue
@@ -123,11 +132,11 @@ def phi_estimate(spec: FlowSpec, n_points: int, qm: QmOnBraids, samples: int,
                  rejection_ceiling: float = DEFAULT_REJECTION_CEILING) -> QMEstimate:
     """Mean of the braid invariant over i.i.d. configuration samples."""
     if samples < 2:
-        raise ValueError("need at least 2 samples")
+        raise EstimatorArgumentError("need at least 2 samples")
     base = base_tuple(n_points, base_eps)
     values, rejected = _draw_values(
-        lambda t: spec, [spec.duration], n_points, qm, samples, seed, base,
-        omega, mode, rejection_ceiling)
+        [spec], n_points, qm, samples, seed, base, omega, mode,
+        rejection_ceiling)
     factor = _measure_factor(convention, n_points)
     mean, err = _mean_stderr(values[:, 0])
     return QMEstimate(mean * factor, err * factor, samples, rejected,
@@ -149,17 +158,16 @@ def phi_bar_estimate(spec: FlowSpec, t_list, n_points: int, qm: QmOnBraids,
     """
     t_list = [float(t) for t in t_list]
     if len(t_list) < 3 or any(b <= a for a, b in zip(t_list, t_list[1:])):
-        raise ValueError("need at least 3 strictly increasing durations")
+        raise EstimatorArgumentError(
+            "need at least 3 strictly increasing durations")
+    if not all(0.0 < t < math.inf for t in t_list):
+        raise EstimatorArgumentError("durations must be positive and finite")
     if samples < 2:
-        raise ValueError("need at least 2 samples")
+        raise EstimatorArgumentError("need at least 2 samples")
     base = base_tuple(n_points, base_eps)
-
-    def spec_for_t(t: float) -> FlowSpec:
-        return FlowSpec(spec.components, t)
-
     values, rejected = _draw_values(
-        spec_for_t, t_list, n_points, qm, samples, seed, base, omega, mode,
-        rejection_ceiling)
+        [FlowSpec(spec.components, t) for t in t_list], n_points, qm,
+        samples, seed, base, omega, mode, rejection_ceiling)
     factor = _measure_factor(convention, n_points)
     ts = np.array(t_list)
     centered = ts - ts.mean()
@@ -188,13 +196,12 @@ def qm_property_monitor(spec_f: FlowSpec, spec_g: FlowSpec, n_points: int,
                         ) -> QMEstimate:
     """|Phi(fg) - Phi(f) - Phi(g)| with the same samples for all three terms."""
     if samples < 2:
-        raise ValueError("need at least 2 samples")
+        raise EstimatorArgumentError("need at least 2 samples")
     base = base_tuple(n_points, base_eps)
     composite = compose_specs(spec_f, spec_g)
-    specs = [composite, spec_f, spec_g]
     values, rejected = _draw_values(
-        lambda i: specs[int(i)], [0, 1, 2], n_points, qm, samples, seed, base,
-        omega, mode, rejection_ceiling)
+        [composite, spec_f, spec_g], n_points, qm, samples, seed, base, omega,
+        mode, rejection_ceiling)
     diffs = values[:, 0] - values[:, 1] - values[:, 2]
     factor = _measure_factor(convention, n_points)
     mean, err = _mean_stderr(diffs)

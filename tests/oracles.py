@@ -12,6 +12,10 @@ package's own algorithms, so tests compare two unrelated routes:
 * gg_rhs_adaptive, lp_length_adaptive, psi0_nested: adaptive scipy quadrature
   in u, in r and nested in polar coordinates, beside the package's
   piecewise-exact arc quadrature and closed-form angular integral.
+* braid_per_duration: one loop traced and read off on its own (inbound path,
+  flow refined on [0, T], outbound path, crossings scanned pair by pair),
+  beside the package's tracer, which shares the inbound path, the flow
+  refinement and the crossing events between durations and flows.
 """
 
 from __future__ import annotations
@@ -200,3 +204,166 @@ def psi0_nested(a: complex, tol: float = 1e-6) -> float:
         total += integrate.quad(radial, lo, hi, epsabs=1e-14,
                                 epsrel=tol / 4.0, limit=200)[0]
     return total
+
+
+def _wrapped_steps(z: np.ndarray) -> np.ndarray:
+    d = np.diff(np.angle(z), axis=0)
+    return (d + math.pi) % (2.0 * math.pi) - math.pi
+
+
+def _refine(evaluate, t1: float, n_initial: int, max_step: float, n: int):
+    """Bisect [0, t1] until no pair angle moves more than max_step per step."""
+    from braidflow.braid_trace import REFINE_CAP, RefinementError
+
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    times = np.linspace(0.0, t1, n_initial)
+    while True:
+        pts = evaluate(times)
+        if not pairs:
+            return pts
+        rel = np.stack([pts[:, i] - pts[:, j] for i, j in pairs], axis=1)
+        bad = np.nonzero(np.max(np.abs(_wrapped_steps(rel)), axis=1)
+                         > max_step)[0]
+        if bad.size == 0:
+            return pts
+        if times.size + bad.size > REFINE_CAP:
+            raise RefinementError("refinement cap exceeded")
+        times = np.sort(np.concatenate(
+            [times, 0.5 * (times[bad] + times[bad + 1])]))
+
+
+def _check_separation(pts: np.ndarray, delta: float):
+    from braidflow.braid_trace import PathCollisionError
+
+    n = pts.shape[1]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if float(np.min(np.abs(pts[:, i] - pts[:, j]))) <= delta:
+                raise PathCollisionError(f"points {i},{j} collide")
+
+
+def _short_path(za, zb, mode: str, delta: float, max_step: float):
+    """Samples of the path from tuple za to tuple zb (complex arrays)."""
+    from braidflow.braid_trace import PathCollisionError
+    from braidflow.chart_geometry import ChartPoint, geodesic_path
+
+    n = len(za)
+    if mode == "linear":
+        for i in range(n):
+            for j in range(i + 1, n):
+                a0, a1 = za[i] - za[j], zb[i] - zb[j]
+                d = a1 - a0
+                t = 0.0 if d == 0 else min(1.0, max(0.0, -(
+                    (a0 * d.conjugate()).real) / abs(d) ** 2))
+                if abs(a0 + t * d) <= delta:
+                    raise PathCollisionError(f"chords {i},{j} collide")
+        return _refine(lambda ts: (1.0 - ts[:, None]) * za + ts[:, None] * zb,
+                       1.0, 17, max_step, n)
+    pa = [ChartPoint(complex(z)) for z in za]
+    pb = [ChartPoint(complex(z)) for z in zb]
+
+    def evaluate(ts):
+        return np.array([[geodesic_path(x, y, float(t)).require_finite()
+                          for x, y in zip(pa, pb)] for t in ts], dtype=complex)
+
+    pts = _refine(evaluate, 1.0, 33, max_step, n)
+    _check_separation(pts, delta)
+    return pts
+
+
+def _pair_events(psi: np.ndarray, w: np.ndarray, chi: float):
+    """(edge, fraction, sign) of every crossing of w's direction over the
+    line at angle chi; DegenerateDirectionError for a non-generic chi."""
+    from braidflow.braid_trace import DegenerateDirectionError
+
+    rel = (psi - chi) / math.pi
+    if np.any(rel == np.round(rel)):
+        raise DegenerateDirectionError("sample on the ray")
+    lo, hi = np.floor(rel[:-1]), np.floor(rel[1:])
+    events = []
+    for e in np.nonzero(hi != lo)[0]:
+        if abs(hi[e] - lo[e]) != 1.0:
+            raise DegenerateDirectionError("two rays in one edge")
+        u = np.exp(1j * (chi + max(lo[e], hi[e]) * math.pi))
+        ya, yb = (w[e] / u).imag, (w[e + 1] / u).imag
+        if ya == yb:
+            raise DegenerateDirectionError("tangent edge")
+        events.append((int(e), float(ya / (ya - yb)),
+                       1 if psi[e + 1] > psi[e] else -1))
+    return events
+
+
+def _word_from_samples(z: np.ndarray, om: complex):
+    from braidflow.braid_algebra import BraidWord, permutation
+    from braidflow.braid_trace import DegenerateDirectionError, ExtractionError
+
+    n = z.shape[1]
+    chi = math.atan2(om.imag, om.real)
+    positions = (z[0] / om).imag
+    if len(set(positions.tolist())) != n:
+        raise DegenerateDirectionError("projection ties")
+    order = list(np.argsort(positions))
+    start = order.copy()
+    events = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = z[:, i] - z[:, j]
+            psi = np.concatenate(([math.atan2(w[0].imag, w[0].real)],
+                                  _wrapped_steps(w))).cumsum()
+            events += [(e, s, i, j, sign)
+                       for e, s, sign in _pair_events(psi, w, chi)]
+    events.sort(key=lambda ev: ev[:2])
+    if any(a[:2] == b[:2] for a, b in zip(events, events[1:])):
+        raise DegenerateDirectionError("simultaneous crossings")
+    letters = []
+    for _e, _s, i, j, sign in events:
+        pi_, pj = order.index(i), order.index(j)
+        if abs(pi_ - pj) != 1:
+            raise DegenerateDirectionError("non-adjacent swap")
+        letters.append(sign * (min(pi_, pj) + 1))
+        order[pi_], order[pj] = order[pj], order[pi_]
+    word = BraidWord(tuple(letters), n)
+    if order != start:
+        raise DegenerateDirectionError("order did not close up")
+    if permutation(word) != tuple(range(n)):
+        raise ExtractionError("not a pure braid")
+    return word
+
+
+def braid_per_duration(spec, x, base, mode: str = "linear",
+                       omega: complex | None = None,
+                       delta: float = 1e-9, max_step: float = math.pi / 8):
+    """Braid word of one traced loop, built and read off on its own.
+
+    The route braidflow 0.1.0 took for every duration: short path in, the
+    flow refined on [0, T] from max(17, 4 * spread * T + 1) even samples,
+    short path back, then each pair's crossings of the projection ray
+    scanned separately, retrying the direction on degeneracy.
+    """
+    from braidflow.braid_algebra import BraidWord
+    from braidflow.braid_trace import (DEFAULT_DIRECTION,
+                                       DegenerateDirectionError,
+                                       ExtractionError, tuple_from_coords)
+
+    za, zx = base.coords(), x.coords()
+    inbound = _short_path(za, zx, mode, delta, max_step)
+    rates = np.atleast_1d(spec.angular_rate(np.abs(zx)))
+    spread = float(np.max(rates) - np.min(rates))
+    n_init = max(17, int(math.ceil(4.0 * spread * spec.duration)) + 1)
+    flow = _refine(
+        lambda ts: zx * np.exp(2j * math.pi * rates * ts[:, None]),
+        spec.duration, n_init, max_step, x.n)
+    _check_separation(flow, delta)
+    y = tuple_from_coords(flow[-1]).coords()
+    outbound = _short_path(y, za, mode, delta, max_step)
+    if x.n == 1:
+        return BraidWord((), 1)
+    z = np.concatenate([inbound, flow[1:], outbound[1:]])
+    om0 = DEFAULT_DIRECTION if omega is None else omega
+    for attempt in range(16):
+        om = om0 * complex(np.exp(1j * 0.37311 * attempt))
+        try:
+            return _word_from_samples(z, om / abs(om))
+        except DegenerateDirectionError:
+            continue
+    raise ExtractionError("no generic direction")

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from braidflow.braid_algebra import is_pure, signature, writhe
 from braidflow.braid_trace import (
+    DEFAULT_MAX_STEP,
     ConfigTuple,
     DegenerateDirectionError,
+    PathCollisionError,
     SeparationError,
     TraceRejection,
     base_tuple,
@@ -23,10 +25,19 @@ from braidflow.braid_trace import (
     short_path,
     total_angular_variation,
     trace_to_csv,
+    trace_words,
     tuple_from_coords,
     winding,
+    _trace_legs,
 )
-from braidflow.flow_engine import single_flow, step_profile
+from braidflow.flow_engine import (
+    FlowSpec,
+    annulus_profile,
+    compose_specs,
+    single_flow,
+    step_profile,
+)
+from oracles import braid_per_duration
 
 STEP = step_profile(1.0, math.sqrt(1.0 / 3.0))
 
@@ -204,3 +215,87 @@ def test_random_tuple_separation(n, salt):
     for i in range(n):
         for j in range(i + 1, n):
             assert abs(zs[i] - zs[j]) > 1e-9
+
+
+def spec_lists(height, shape, durations):
+    """Specs of one draw: a single duration, an increasing duration list, or
+    the defect monitor's composite of a step and an annulus flow with both."""
+    step = step_profile(height, 0.45)
+    if shape == "monitor":
+        f = single_flow(step, durations[0])
+        g = single_flow(annulus_profile(-0.7, 0.9, 1.5), durations[-1])
+        return [compose_specs(f, g), f, g]
+    if shape == "single":
+        durations = durations[-1:]
+    return [FlowSpec(((step, 1.0),), t) for t in durations]
+
+
+@given(st.integers(2, 5), st.sampled_from(["linear", "geodesic"]),
+       st.sampled_from(["single", "increasing", "monitor"]),
+       st.lists(st.sampled_from([0.25, 0.6, 1.0, 1.5, 2.0, 3.0]), min_size=1,
+                max_size=4, unique=True).map(sorted),
+       st.floats(-2.0, 2.0).filter(lambda h: abs(h) > 0.05),
+       st.integers(0, 10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_shared_trace_matches_per_duration_oracle(n, mode, shape, durations,
+                                                  height, salt):
+    # one trace for all specs reads the same braid, spec by spec, as tracing
+    # every loop on its own; a sample is rejected iff some loop rejects it
+    rng = np.random.default_rng((1729, salt))
+    try:
+        x = random_tuple(rng, n)
+    except TraceRejection:
+        return
+    specs = spec_lists(height, shape, durations)
+    base = base_tuple(n)
+    try:
+        words = trace_words(specs, x, base, mode=mode)
+    except TraceRejection:
+        with pytest.raises(TraceRejection):
+            for spec in specs:
+                braid_per_duration(spec, x, base, mode)
+        return
+    for spec, word in zip(specs, words):
+        old = braid_per_duration(spec, x, base, mode)
+        assert signature(word) == signature(old)
+        assert writhe(word) == writhe(old)
+        assert is_pure(word)
+
+
+def test_single_spec_trace_is_build_loop_then_extract():
+    rng = np.random.default_rng(5)
+    x = random_tuple(rng, 4)
+    spec = single_flow(STEP, 2.5)
+    loop = build_loop(spec, x, base_tuple(4))
+    assert trace_words([spec], x, base_tuple(4)) == [extract_braid(loop)]
+    omega = complex(np.exp(0.3j))
+    assert (trace_words([spec], x, base_tuple(4), omega)
+            == [extract_braid(loop, omega)])
+
+
+def test_collision_on_any_outbound_path_rejects_the_sample():
+    # both points turn rigidly; after 3/4 turn their difference is +0.6 and
+    # the chord back to the base difference -0.2 passes through zero.  0.75
+    # is no point of the even grid on [0, 1.1], so the shared flow has to
+    # have it forced onto its grid to return from the right place
+    base = base_tuple(2)
+    x = tuple_from_coords([0.3j, -0.3j])
+    longer, three_quarters = single_flow(STEP, 1.1), single_flow(STEP, 0.75)
+    assert writhe(trace_words([longer], x, base)[0]) == 2
+    with pytest.raises(PathCollisionError):
+        build_loop(three_quarters, x, base)
+    with pytest.raises(PathCollisionError):
+        trace_words([three_quarters, longer], x, base)
+
+
+def test_flow_passing_too_close_rejects_the_sample():
+    # the inner point turns half-way round, to 0.3 from the fixed outer one;
+    # the flow shared by both durations is checked up to the longer one
+    base = base_tuple(2, 0.5)
+    x = tuple_from_coords([-0.3, 0.6])
+    quarter, full = single_flow(STEP, 0.25), single_flow(STEP, 1.0)
+    _trace_legs([quarter], x, base, "linear", 0.35, DEFAULT_MAX_STEP)
+    with pytest.raises(PathCollisionError, match="flow"):
+        build_loop(full, x, base, delta_sep=0.35)
+    with pytest.raises(PathCollisionError, match="flow"):
+        _trace_legs([quarter, full], x, base, "linear", 0.35, DEFAULT_MAX_STEP)

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from braidflow import cli
+from braidflow import cli, qm_estimator
 
 
 def run(tmp_path, name, *argv):
@@ -154,3 +154,39 @@ def test_seed_flag_reaches_report(tmp_path):
     rep = load(out, "phi-estimate")
     assert rep["seed"] == 77
     assert rep["config"]["seed"] == 77
+
+
+@pytest.mark.parametrize("command, config, flags", [
+    ("phi-estimate", None, ["--samples", "1"]),
+    ("braid-of-flow", None, ["--seed", "-1"]),
+    ("phi-estimate", {"n_points": "four"}, []),
+    ("gg-check", {"t_list": [0, 1, 2]}, []),
+    ("gg-check", {"t_list": [1, 2]}, []),
+    ("braid-of-flow", {"duration": 0.0}, []),
+    ("braid-of-flow", {"duration": math.nan}, []),
+])
+def test_bad_input_is_a_one_line_config_error(tmp_path, capsys, command,
+                                              config, flags):
+    argv = [command, *flags]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    code, _ = run(tmp_path, "a", *argv)
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["phi-estimate", "gg-check"])
+def test_value_error_while_sampling_is_not_a_config_error(tmp_path,
+                                                          monkeypatch, command):
+    # only the estimators' parameter refusals are config errors; a defect
+    # met while tracing a sample must not be reported as bad input
+    def broken(*args, **kwargs):
+        raise ValueError("letter invalid")
+
+    monkeypatch.setattr(qm_estimator, "trace_words", broken)
+    with pytest.raises(ValueError, match="letter invalid"):
+        run(tmp_path, "a", command, "--samples", "2")

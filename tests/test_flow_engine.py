@@ -176,13 +176,6 @@ def test_profile_support_and_tail():
     assert annulus_profile(1.0, 1.0, 2.0).support_bounds() == (1.0, 2.0)
 
 
-def test_omega_tilde_matches_omega():
-    prof = step_profile(2.0, 0.5, ramp=0.1)
-    for u in (-0.5, 0.0, 0.3, 0.9):
-        r = math.sqrt((1.0 - u) / (1.0 + u))
-        assert prof.omega_tilde(u) == pytest.approx(prof.omega(r))
-
-
 def test_breakpoints_are_merged_sorted():
     spec = FlowSpec(((step_profile(1.0, 0.3), 1.0),
                      (annulus_profile(1.0, 1.0, 2.0), 1.0)), 1.0)
@@ -194,3 +187,5 @@ def test_breakpoints_are_merged_sorted():
 def test_duration_must_be_positive():
     with pytest.raises(ValueError):
         FlowSpec(((constant_profile(1.0), 1.0),), 0.0)
+    with pytest.raises(ValueError):
+        FlowSpec(((constant_profile(1.0), 1.0),), math.nan)

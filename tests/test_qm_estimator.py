@@ -152,3 +152,18 @@ def test_input_validation():
     with pytest.raises(ValueError):
         phi_bar_estimate(step_spec(1.0), [2.0, 1.0, 3.0], n_points=4,
                          qm=s_qm(4), samples=10, seed=0)
+
+
+@pytest.mark.parametrize("t_list", [[0.0, 1.0, 2.0], [-1.0, 1.0, 2.0],
+                                    [1.0, 2.0, math.inf],
+                                    [1.0, 2.0, math.nan]])
+def test_durations_are_checked_before_any_draw(t_list, monkeypatch):
+    import braidflow.qm_estimator as qm_estimator
+
+    def no_draw(*args):
+        raise AssertionError("sampled before validating the durations")
+
+    monkeypatch.setattr(qm_estimator, "random_tuple", no_draw)
+    with pytest.raises(ValueError, match="durations"):
+        phi_bar_estimate(step_spec(1.0), t_list, n_points=4, qm=s_qm(4),
+                         samples=10, seed=0)

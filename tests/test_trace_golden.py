@@ -30,8 +30,8 @@ ANNULUS = annulus_profile(-0.7, 0.9, 1.5)
 
 def draw(specs, samples, seed):
     values, rejected = _draw_values(
-        lambda i: specs[i], range(len(specs)), 4, qm_for_strands(4), samples, seed, base_tuple(4, 0.1),
-        None, "linear", DEFAULT_REJECTION_CEILING)
+        specs, 4, qm_for_strands(4), samples, seed, base_tuple(4, 0.1), None,
+        "linear", DEFAULT_REJECTION_CEILING)
     return values.tolist(), rejected
 
 
