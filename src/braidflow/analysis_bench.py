@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate
 
 from .chart_geometry import TWO_PI, radius_from_height
 from .flow_engine import (FlowSpec, QuadratureError, RadialProfile,
@@ -76,6 +75,10 @@ def psi0(a: complex, tol: float = 1e-6) -> float:
     2 pi (1 + |a|^2 + rho^2) / ((1 + (|a| - rho)^2)(1 + (|a| + rho)^2))^(3/2),
     leaving one adaptive radial quadrature.  The value only depends on |a|.
     """
+    # scipy is imported here, its only use in the package, so that importing
+    # braidflow does not load it
+    from scipy import integrate
+
     if tol <= 0:
         raise ValueError("tol must be positive")
     aa = abs(complex(a))

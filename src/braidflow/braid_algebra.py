@@ -11,6 +11,7 @@ that vanishes on full twists.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -119,110 +120,119 @@ def seifert_matrix(word: BraidWord) -> np.ndarray:
     The surface is the braid-closure one: a disc per strand, a half-twisted
     band per letter.  Basis loops run between consecutive bands in the same
     generator column; for a connected closure there are letters - strands + 1
-    of them.  Entries follow the convention that makes the closure of s_1^2
-    the Hopf link with Seifert matrix (-1).
+    of them.  They are listed by the word position of their first band, an
+    order in which V + V^T is banded: a loop meets only the next loop of its
+    column and at most two loops of the column to its right, all of which
+    start near it in the word.  Entries follow the convention that makes the
+    closure of s_1^2 the Hopf link with Seifert matrix (-1).
     """
     word = free_reduce(word)
-    cols: dict[int, list[tuple[int, int]]] = {}
-    for pos, l in enumerate(word.letters):
-        cols.setdefault(abs(l), []).append((pos, 1 if l > 0 else -1))
-    loops: list[tuple[int, int, int, int, int]] = []
-    for col in sorted(cols):
-        bands = cols[col]
-        for (pa, sa), (pb, sb) in zip(bands, bands[1:]):
-            loops.append((col, pa, pb, sa, sb))
-    g = len(loops)
-    V = np.zeros((g, g), dtype=np.int64)
-    for x in range(g):
-        cx, ax1, ax2, sx1, sx2 = loops[x]
-        V[x, x] = -(sx1 + sx2) // 2
-        for y in range(x + 1, g):
-            cy, by1, by2, sy1, sy2 = loops[y]
-            if cy == cx:
-                # loops listed in band order, so only y directly after x shares
-                # a band (the one at position ax2, of sign sx2)
-                if by1 == ax2:
-                    if sx2 == 1:
-                        V[x, y] = 1
-                    else:
-                        V[y, x] = -1
-            elif abs(cy - cx) == 1:
-                lo, hi = (x, y) if cx < cy else (y, x)
-                a1, a2 = loops[lo][1], loops[lo][2]
-                b1, b2 = loops[hi][1], loops[hi][2]
-                if a1 < b1 < a2 < b2:
-                    V[lo, hi] = 1
-                elif b1 < a1 < b2 < a2:
-                    V[lo, hi] = -1
+    letters = word.letters
+    columns: dict[int, list[int]] = {}
+    for pos, l in enumerate(letters):
+        columns.setdefault(abs(l), []).append(pos)
+    second: dict[int, int] = {}  # first band of a loop -> its second band
+    for bands in columns.values():
+        second.update(zip(bands, bands[1:]))
+    index = {a: x for x, a in enumerate(sorted(second))}
+    ii: list[int] = []
+    jj: list[int] = []
+    vals: list[int] = []
+
+    def put(i: int, j: int, v: int) -> None:
+        ii.append(i)
+        jj.append(j)
+        vals.append(v)
+
+    for a, x in index.items():
+        b = second[a]
+        sa = 1 if letters[a] > 0 else -1
+        sb = 1 if letters[b] > 0 else -1
+        put(x, x, -(sa + sb) // 2)
+        y = index.get(b)
+        if y is not None:
+            # the next loop of the column shares the band at b
+            if sb == 1:
+                put(x, y, 1)
+            else:
+                put(y, x, -1)
+        right = columns.get(abs(letters[a]) + 1)
+        if right is None:
+            continue
+        # of the right column's bands strictly between a and b, the loop
+        # leaving the last one and the loop entering the first interleave
+        lo = bisect_right(right, a)
+        hi = bisect_left(right, b) - 1
+        if lo <= hi:
+            if hi + 1 < len(right):
+                put(x, index[right[hi]], 1)
+            if lo > 0:
+                put(x, index[right[lo - 1]], -1)
+    V = np.zeros((len(index), len(index)), dtype=np.int64)
+    V[ii, jj] = vals
     return V
 
 
-class _Int64Overflow(Exception):
-    pass
+def signature_of_form(sym: np.ndarray) -> int:
+    """Signature of a symmetric integer matrix, exactly.
 
-
-_INT64_GUARD = int(2 ** 30)
-
-
-def _signature_reduce(M: np.ndarray, guard: bool) -> int:
-    """Signature by fraction-free symmetric congruence reduction (Bareiss).
-
-    Pivots are consecutive leading minors of the running congruent matrix;
-    each contributes sign(d_k * d_{k-1}).  Zero pivots are repaired by a
-    symmetric swap with a nonzero diagonal or, failing that, by adding a row
-    and column pair, both congruence moves.  Fully zero rows are radical
-    directions and contribute nothing.
+    Symmetric fraction-free (Bareiss) elimination in Python integers on the
+    nonzeros of the upper triangle, one dict per row.  After pivot p_k the
+    untouched entries of the remaining block are their step-s values times
+    p_k / p_s, exactly, so a row is rescaled only when a pivot row reaches
+    it: each row keeps the pivot level of its last update.  Each pivot
+    contributes sign(p_k p_{k-1}).  A zero pivot is repaired by the
+    congruence row/column k += +-row/column j for the nearest j with
+    M[k, j] = b != 0, with the sign that makes 2b + M[j, j] (or -2b + M[j, j])
+    nonzero; a row with no nonzero left is a radical direction and adds
+    nothing.
     """
-    m = M.shape[0]
+    m = sym.shape[0]
+    if m == 0:
+        return 0
+    rows: list[dict[int, int]] = [{} for _ in range(m)]
+    upper = np.triu(sym)
+    ii, jj = np.nonzero(upper)
+    for i, j, v in zip(ii.tolist(), jj.tolist(), upper[ii, jj].tolist()):
+        rows[i][j] = int(v)
+    level = [1] * m  # the pivot after which each row was last updated
     sig = 0
     prev = 1
     for k in range(m):
-        if M[k, k] == 0:
-            fixed = False
-            for j in range(k + 1, m):
-                if M[j, j] != 0:
-                    M[[k, j], :] = M[[j, k], :]
-                    M[:, [k, j]] = M[:, [j, k]]
-                    fixed = True
-                    break
-            if not fixed:
-                for j in range(k + 1, m):
-                    if M[k, j] != 0:
-                        if guard and max(int(np.max(np.abs(M[k, :]))),
-                                         int(np.max(np.abs(M[j, :])))) > 2 ** 61:
-                            raise _Int64Overflow
-                        M[k, :] += M[j, :]
-                        M[:, k] += M[:, j]
-                        fixed = True
-                        break
-            if not fixed:
-                continue
-        p = int(M[k, k])
+        lk = level[k]
+        row = {j: v * prev // lk for j, v in rows[k].items() if v}
+        p = row.pop(k, 0)
+        if p == 0:
+            if not row:
+                continue  # radical direction
+            j = min(row)
+            b = row[j]
+            lj = level[j]
+            c = rows[j].get(j, 0) * prev // lj
+            s = 1 if 2 * b + c else -1
+            p = 2 * s * b + c
+            # row k += s * row j over the columns i > k: M[j, i] is stored in
+            # row i for k < i < j and in row j for i >= j (M[k, j] += s c)
+            for i in range(k + 1, j):
+                v = rows[i].get(j)
+                if v:
+                    row[i] = row.get(i, 0) + s * (v * prev // level[i])
+            for i, v in rows[j].items():
+                row[i] = row.get(i, 0) + s * (v * prev // lj)
         sig += 1 if (p > 0) == (prev > 0) else -1
-        if k + 1 < m:
-            sub = M[k + 1:, k + 1:]
-            col = M[k + 1:, k]
-            if guard:
-                peak = max(int(np.max(np.abs(sub))), 1) * abs(p) \
-                    + int(np.max(np.abs(col))) ** 2
-                if peak > 2 ** 62:
-                    raise _Int64Overflow
-            M[k + 1:, k + 1:] = (sub * p - np.outer(col, col)) // prev
+        for i, bi in row.items():
+            if not bi:
+                continue
+            ri, li = rows[i], level[i]
+            new = {j: (p * (v * prev // li) - bi * row[j]) // prev if j in row
+                   else v * p // li for j, v in ri.items()}
+            for j, bj in row.items():
+                if j >= i and j not in ri:
+                    new[j] = -bi * bj // prev
+            rows[i] = new
+            level[i] = p
         prev = p
     return sig
-
-
-def signature_of_form(sym: np.ndarray) -> int:
-    """Signature of a symmetric integer matrix, exactly."""
-    if sym.size == 0:
-        return 0
-    if np.max(np.abs(sym), initial=0) < _INT64_GUARD:
-        try:
-            return _signature_reduce(sym.astype(np.int64, copy=True), guard=True)
-        except _Int64Overflow:
-            pass
-    boxed = np.array([[int(v) for v in row] for row in sym], dtype=object)
-    return _signature_reduce(boxed, guard=False)
 
 
 def signature(word: BraidWord) -> int:

@@ -275,7 +275,12 @@ def _flow_segment(spec: FlowSpec, zx: np.ndarray, durations: np.ndarray,
         return zx[None, :] * np.exp(2j * math.pi * rates[None, :] * ts[:, None])
 
     t_max = float(durations[-1])
-    n_init = max(17, int(math.ceil(4.0 * spread * t_max)) + 1)
+    steps = 4.0 * spread * t_max
+    if steps + 1 > REFINE_CAP:
+        # refused before the initial grid is allocated
+        raise RefinementError(
+            f"flow segment needs more than {REFINE_CAP} samples")
+    n_init = max(17, int(math.ceil(steps)) + 1)
     times = np.union1d(np.linspace(0.0, t_max, n_init), durations)
     seg = _refine(evaluate, times, "flow", max_step, len(zx))
     _check_separation(seg.points, delta_sep, "flow")

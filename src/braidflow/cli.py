@@ -547,12 +547,12 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (braid_trace.TraceRejection, braid_trace.DegenerateDirectionError,
-            qm_estimator.RejectionBudgetError,
+            braid_trace.ExtractionError, qm_estimator.RejectionBudgetError,
             analysis_bench.SingularMatrixError) as exc:
         print(f"degeneracy: {exc}", file=sys.stderr)
         return EXIT_DEGENERACY
-    except (analysis_bench.PsiConvergenceError,
-            flow_engine.QuadratureError) as exc:
+    except (analysis_bench.PsiConvergenceError, flow_engine.QuadratureError,
+            braid_trace.RefinementError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
 

@@ -7,6 +7,10 @@ package's own algorithms, so tests compare two unrelated routes:
   of (s_1 ... s_{p-1})^q, from the classical eigenvalue description of the
   intersection form of the Brieskorn fiber x^p + y^q.
 * float_signature: eigenvalue-sign count of V + V^T in floating point.
+* dense_signature, seifert_matrix_by_column: the dense int64/object-array
+  reducer and the column-ordered all-pairs Seifert builder, beside the
+  package's banded reducer in Python integers and one-pass band-order
+  builder.
 * binomial_slope: closed-form expectation of the per-sample slope for a hard
   step rotation, used as the analytic model behind the Monte Carlo checks.
 * gg_rhs_adaptive, lp_length_adaptive, psi0_nested: adaptive scipy quadrature
@@ -53,6 +57,118 @@ def float_signature(seifert: np.ndarray, tol: float = 1e-9) -> int:
     eig = np.linalg.eigvalsh(sym)
     scale = max(1.0, float(np.max(np.abs(eig))))
     return int(np.sum(eig > tol * scale) - np.sum(eig < -tol * scale))
+
+
+class _Int64Overflow(Exception):
+    pass
+
+
+def _dense_reduce(M: np.ndarray, guard: bool) -> int:
+    """Fraction-free symmetric congruence reduction of a dense matrix.
+
+    Pivots are consecutive leading minors of the running congruent matrix;
+    each contributes sign(d_k * d_{k-1}).  Zero pivots are repaired by a
+    symmetric swap with a nonzero diagonal or, failing that, by adding a row
+    and column pair.  Fully zero rows are radical directions.  With guard,
+    raises _Int64Overflow before an int64 step could overflow.
+    """
+    m = M.shape[0]
+    sig = 0
+    prev = 1
+    for k in range(m):
+        if M[k, k] == 0:
+            fixed = False
+            for j in range(k + 1, m):
+                if M[j, j] != 0:
+                    M[[k, j], :] = M[[j, k], :]
+                    M[:, [k, j]] = M[:, [j, k]]
+                    fixed = True
+                    break
+            if not fixed:
+                for j in range(k + 1, m):
+                    if M[k, j] != 0:
+                        if guard and max(int(np.max(np.abs(M[k, :]))),
+                                         int(np.max(np.abs(M[j, :])))) > 2 ** 61:
+                            raise _Int64Overflow
+                        M[k, :] += M[j, :]
+                        M[:, k] += M[:, j]
+                        fixed = True
+                        break
+            if not fixed:
+                continue
+        p = int(M[k, k])
+        sig += 1 if (p > 0) == (prev > 0) else -1
+        if k + 1 < m:
+            sub = M[k + 1:, k + 1:]
+            col = M[k + 1:, k]
+            if guard:
+                peak = max(int(np.max(np.abs(sub))), 1) * abs(p) \
+                    + int(np.max(np.abs(col))) ** 2
+                if peak > 2 ** 62:
+                    raise _Int64Overflow
+            M[k + 1:, k + 1:] = (sub * p - np.outer(col, col)) // prev
+        prev = p
+    return sig
+
+
+def dense_signature(sym: np.ndarray) -> int:
+    """Exact signature by dense O(g^3) elimination (test oracle only).
+
+    braidflow 0.1.0's reducer: int64 numpy rows while entries stay below the
+    guard, and Python-integer object arrays otherwise.
+    """
+    if sym.size == 0:
+        return 0
+    if np.max(np.abs(sym), initial=0) < 2 ** 30:
+        try:
+            return _dense_reduce(sym.astype(np.int64, copy=True), guard=True)
+        except _Int64Overflow:
+            pass
+    boxed = np.array([[int(v) for v in row] for row in sym], dtype=object)
+    return _dense_reduce(boxed, guard=False)
+
+
+def seifert_matrix_by_column(word) -> np.ndarray:
+    """Seifert matrix with basis loops listed by column, then by band.
+
+    braidflow 0.1.0's builder, a double loop over all pairs of loops (test
+    oracle only).  Loops run between consecutive bands of one column; the
+    package lists the same loops by the position of their first band.
+    """
+    from braidflow.braid_algebra import free_reduce
+
+    word = free_reduce(word)
+    cols: dict[int, list[tuple[int, int]]] = {}
+    for pos, l in enumerate(word.letters):
+        cols.setdefault(abs(l), []).append((pos, 1 if l > 0 else -1))
+    loops: list[tuple[int, int, int, int, int]] = []
+    for col in sorted(cols):
+        bands = cols[col]
+        for (pa, sa), (pb, sb) in zip(bands, bands[1:]):
+            loops.append((col, pa, pb, sa, sb))
+    g = len(loops)
+    V = np.zeros((g, g), dtype=np.int64)
+    for x in range(g):
+        cx, ax1, ax2, sx1, sx2 = loops[x]
+        V[x, x] = -(sx1 + sx2) // 2
+        for y in range(x + 1, g):
+            cy, by1, by2, sy1, sy2 = loops[y]
+            if cy == cx:
+                # only y directly after x shares a band (at ax2, sign sx2)
+                if by1 == ax2:
+                    if sx2 == 1:
+                        V[x, y] = 1
+                    else:
+                        V[y, x] = -1
+            elif abs(cy - cx) == 1:
+                lo, hi = (x, y) if cx < cy else (y, x)
+                a1, a2 = loops[lo][1], loops[lo][2]
+                b1, b2 = loops[hi][1], loops[hi][2]
+                if a1 < b1 < a2 < b2:
+                    V[lo, hi] = 1
+                elif b1 < a1 < b2 < a2:
+                    V[lo, hi] = -1
+    return V
 
 
 def full_twist_signature_rate(p: int) -> int:

@@ -28,7 +28,8 @@ from braidflow.braid_algebra import (
     signature_of_form,
     writhe,
 )
-from oracles import float_signature, s_ratio, torus_link_signature
+from oracles import (dense_signature, float_signature, s_ratio,
+                     seifert_matrix_by_column, torus_link_signature)
 
 
 def torus_word(p, q):
@@ -105,11 +106,98 @@ def test_seifert_matrix_size():
 
 
 def test_signature_of_form_object_fallback():
-    big = 1 << 40  # beyond the int64 fast-path guard
+    # object-dtype input with entries and pivots beyond int64, reduced in
+    # Python integers like any other form
+    big = 1 << 70
     m = np.array([[big, 0], [0, -big]], dtype=object)
     assert signature_of_form(m) == 0
     m2 = np.array([[big, 1], [1, big]], dtype=object)
     assert signature_of_form(m2) == 2
+    m3 = np.array([[0, big, 0], [big, 0, 1], [0, 1, -big]], dtype=object)
+    assert signature_of_form(m3) == dense_signature(m3) == -1
+
+
+@st.composite
+def symmetric_forms(draw, max_size=10):
+    """Symmetric integer matrices (object dtype) of four kinds: dense, zero
+    diagonal, singular B^T D B, and band forms in a shuffled order; times 1
+    or a factor beyond 2^62."""
+    m = draw(st.integers(0, max_size))
+    kind = draw(st.sampled_from(["dense", "zero-diagonal", "radical", "band"]))
+    entries = st.integers(-3, 3)
+    if kind == "radical":
+        r = draw(st.integers(0, m))
+        B = np.array(draw(st.lists(entries, min_size=r * m, max_size=r * m)),
+                     dtype=object).reshape(r, m)
+        d = draw(st.lists(st.sampled_from([-(1 << 63) - 5, -2, -1, 1, 3,
+                                           (1 << 62) + 1]),
+                          min_size=r, max_size=r))
+        D = np.zeros((r, r), dtype=object)
+        for i, v in enumerate(d):
+            D[i, i] = v
+        S = B.T.dot(D).dot(B) if r else np.zeros((m, m), dtype=object)
+    else:
+        A = np.array(draw(st.lists(entries, min_size=m * m, max_size=m * m)),
+                     dtype=object).reshape(m, m)
+        S = A + A.T
+        if kind == "zero-diagonal":
+            for i in range(m):
+                S[i, i] = 0
+        elif kind == "band":
+            width = draw(st.integers(1, 3))
+            for i in range(m):
+                for j in range(m):
+                    if abs(i - j) > width:
+                        S[i, j] = 0
+            perm = draw(st.permutations(range(m)))
+            S = S[np.ix_(perm, perm)]
+    return S * draw(st.sampled_from([1, (1 << 62) + 3]))
+
+
+@given(symmetric_forms())
+@settings(max_examples=400, deadline=None)
+def test_signature_of_form_matches_dense_and_float_oracles(sym):
+    assert (sym == sym.T).all()
+    sig = signature_of_form(sym)
+    assert sig == dense_signature(sym)
+    if np.max(np.abs(sym), initial=0) < 1 << 31:
+        # float_signature symmetrizes its argument; 2 S has the signature of S
+        assert sig == float_signature(sym.astype(np.int64))
+
+
+def words_with_cancellations(n_strands=st.integers(2, 6), max_len=30):
+    """Words with inverse pairs g, -g inserted, so free reduction has work."""
+    def build(n):
+        letters = st.integers(-(n - 1), n - 1).filter(bool)
+        return st.tuples(
+            st.lists(letters, max_size=max_len),
+            st.lists(st.tuples(st.integers(0, max_len), letters), max_size=4),
+        ).map(lambda drawn: _insert_pairs(n, *drawn))
+    return n_strands.flatmap(build)
+
+
+def _insert_pairs(n, letters, pairs):
+    letters = list(letters)
+    for pos, g in pairs:
+        pos = min(pos, len(letters))
+        letters[pos:pos] = [g, -g]
+    return BraidWord(tuple(letters), n)
+
+
+@given(words_with_cancellations())
+@settings(max_examples=300, deadline=None)
+def test_seifert_matrix_is_the_column_order_matrix_in_band_order(word):
+    by_column = seifert_matrix_by_column(word)
+    columns: dict[int, list[int]] = {}
+    for pos, l in enumerate(free_reduce(word).letters):
+        columns.setdefault(abs(l), []).append(pos)
+    first_bands = [a for c in sorted(columns) for a in columns[c][:-1]]
+    order = np.argsort(first_bands)
+    band_order = seifert_matrix(word)
+    assert band_order.dtype == np.int64
+    assert np.array_equal(band_order, by_column[np.ix_(order, order)])
+    assert signature_of_form(band_order + band_order.T) \
+        == dense_signature(by_column + by_column.T)
 
 
 def test_calibrated_ratios_are_exact():

@@ -2,10 +2,14 @@
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from braidflow import cli, qm_estimator
+import braidflow
+from braidflow import braid_trace, cli, qm_estimator
 
 
 def run(tmp_path, name, *argv):
@@ -190,3 +194,41 @@ def test_value_error_while_sampling_is_not_a_config_error(tmp_path,
     monkeypatch.setattr(qm_estimator, "trace_words", broken)
     with pytest.raises(ValueError, match="letter invalid"):
         run(tmp_path, "a", command, "--samples", "2")
+
+
+def test_refinement_cap_is_exit_2_before_allocating(tmp_path, capsys):
+    # the initial flow grid alone would need about 8e12 samples
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "profile": {"type": "step", "lambda": 1e12, "u0": 0.0, "ramp": 0.01},
+        "x": [[0.1, 0.0], [5.0, 0.0], [0.0, 0.3]],
+    }))
+    code, _ = run(tmp_path, "a", "braid-of-flow", "--config", str(cfg))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("numerical failure: ")
+    assert err.count("\n") == 1
+
+
+def test_extraction_error_is_exit_3(tmp_path, monkeypatch, capsys):
+    def no_direction(*args, **kwargs):
+        raise braid_trace.ExtractionError("no generic projection direction")
+
+    monkeypatch.setattr(braid_trace, "extract_braid", no_direction)
+    code, _ = run(tmp_path, "a", "braid-of-flow")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("degeneracy: ")
+    assert err.count("\n") == 1
+
+
+def test_import_and_calibration_leave_scipy_unloaded():
+    # scipy serves psi0 alone, which imports it when called
+    src = str(Path(braidflow.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import braidflow, braidflow.cli; braidflow.calibrate_ratio(4); "
+            "print('scipy.integrate' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code, src],
+                          capture_output=True, text=True, check=True,
+                          timeout=120)
+    assert done.stdout.strip() == "False"
