@@ -292,6 +292,9 @@ def calibrate_ratio(n: int, depth: int = 6) -> Fraction:
     return ratio
 
 
+QM_KINDS = ("raw-signature", "s-combination")
+
+
 @dataclass(frozen=True)
 class QmOnBraids:
     """Choice of braid invariant fed to the flow averaging.
@@ -309,7 +312,7 @@ class QmOnBraids:
     homogenize: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("raw-signature", "s-combination"):
+        if self.kind not in QM_KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.depth < 1:
             raise ValueError("depth must be >= 1")

@@ -3,11 +3,16 @@
 A loop is built from three segments: a short path from the base tuple to the
 sampled tuple, the flow trace itself, and a short path back to base.  All
 angular quantities (winding, total variation, crossing counts, braid letters)
-are computed from one shared set of refined samples per loop, treating the
-piecewise-linear interpolation as the curve itself.  Along a straight chord
-the relative angle of any pair moves monotonically, so once every sampled
-step is below the refinement threshold the polygonal model crosses exactly
-the same projection rays as its chords and the combinatorics are exact.
+are computed from one shared set of samples per loop, treating the
+piecewise-linear interpolation as the curve itself.
+
+The short paths are straight chart chords, exact as two samples: every
+point moves affinely along a chord, so every pair vector does too, and a
+pair vector that misses the origin turns by less than pi and crosses any
+line through the origin at most once.  Only the flow is refined: its
+samples are bisected until every pair-angle step is below the threshold, so
+each flow edge is a chord too short to cross a projection line twice, and
+the combinatorics read off the polygon are those of the flow.
 
 The loops one sampled tuple traces under several flows or durations share
 their start: `trace_words` builds the inbound path once, refines each flow
@@ -24,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chart_geometry import ChartPoint, geodesic_path
+from .chart_geometry import ChartPoint
 from .flow_engine import FlowSpec
 
 DEFAULT_SEPARATION = 1e-9
@@ -137,86 +142,58 @@ def _unwrapped(w: np.ndarray, start) -> np.ndarray:
     return psi
 
 
-def _refine(evaluate, times: np.ndarray, kind: str, max_step: float,
-            n: int) -> Segment:
-    """Bisect the sample times until all pair-angle steps are small."""
+def _refine(evaluate, times: np.ndarray, max_step: float, n: int) -> Segment:
+    """Bisect the flow's sample times until all pair-angle steps are small."""
     i, j = _pair_columns(n)
     while True:
         pts = evaluate(times)
         if i.size == 0:
-            return Segment(kind, times, pts)
+            return Segment("flow", times, pts)
         steps = np.abs(_wrapped_steps(pts[:, i] - pts[:, j]))
         bad = np.nonzero(steps.max(axis=1) > max_step)[0]
         if bad.size == 0:
-            return Segment(kind, times, pts)
+            return Segment("flow", times, pts)
         if times.size + bad.size > REFINE_CAP:
             raise RefinementError(
-                f"{kind} segment needs more than {REFINE_CAP} samples")
+                f"flow segment needs more than {REFINE_CAP} samples")
         mids = 0.5 * (times[bad] + times[bad + 1])
         times = np.sort(np.concatenate([times, mids]))
 
 
-def _check_separation(pts: np.ndarray, delta: float, kind: str):
+def _check_separation(pts: np.ndarray, delta: float):
     i, j = _pair_columns(pts.shape[1])
     closest = np.min(np.abs(pts[:, i] - pts[:, j]), axis=0, initial=np.inf)
     hit = np.nonzero(closest <= delta)[0]
     if hit.size:
         k = hit[0]
-        raise PathCollisionError(f"{kind} segment brings points {i[k]},{j[k]} "
+        raise PathCollisionError(f"flow segment brings points {i[k]},{j[k]} "
                                  f"within {closest[k]:.3e}")
 
 
-def _linear_min_distance(a0: complex, a1: complex) -> float:
-    """Exact min over t in [0,1] of |(1-t) a0 + t a1|."""
-    d = a1 - a0
-    dd = abs(d) ** 2
-    if dd == 0.0:
-        return abs(a0)
-    t = -((a0 * d.conjugate()).real) / dd
-    t = min(1.0, max(0.0, t))
-    return abs(a0 + t * d)
+def short_path(frm: ConfigTuple, to: ConfigTuple,
+               delta_sep: float = DEFAULT_SEPARATION) -> Segment:
+    """Straight chart chords between tuples, rejected on near-collisions.
 
-
-def short_path(frm: ConfigTuple, to: ConfigTuple, mode: str = "linear",
-               delta_sep: float = DEFAULT_SEPARATION,
-               max_step: float = DEFAULT_MAX_STEP) -> Segment:
-    """Coordinate-wise path between tuples, rejected on near-collisions.
-
-    Linear mode moves each point along a straight chart chord, and the
-    pairwise minimum distance is checked in closed form.  Geodesic mode moves
-    along great circles and checks separation at the refined samples only.
+    The path is exact as one edge: along the chords every pair vector is
+    affine in s, so it turns by less than pi and crosses a projection line
+    at most once, and needs no refinement.  Each pair's minimum distance
+    over s in [0, 1] is checked in closed form.
     """
     if frm.n != to.n:
         raise ValueError("tuples have different sizes")
     za, zb = frm.coords(), to.coords()
-    if mode == "linear":
-        a, b = za.tolist(), zb.tolist()
-        for i, j in zip(*_pair_columns(frm.n)):
-            if _linear_min_distance(a[i] - a[j], b[i] - b[j]) <= delta_sep:
-                raise PathCollisionError(f"chords of points {i},{j} collide")
-
-        def evaluate(ts):
-            s = ts[:, None]
-            return (1.0 - s) * za[None, :] + s * zb[None, :]
-
-        return _refine(evaluate, np.linspace(0.0, 1.0, 17), "short", max_step,
-                       frm.n)
-    if mode == "geodesic":
-        pa = frm.points
-        pb = to.points
-
-        def evaluate(ts):
-            out = np.empty((len(ts), frm.n), dtype=complex)
-            for col, (x, y) in enumerate(zip(pa, pb)):
-                for row, t in enumerate(ts):
-                    out[row, col] = geodesic_path(x, y, float(t)).require_finite()
-            return out
-
-        seg = _refine(evaluate, np.linspace(0.0, 1.0, 33), "short", max_step,
-                      frm.n)
-        _check_separation(seg.points, delta_sep, "short")
-        return seg
-    raise ValueError(f"unknown mode {mode!r}")
+    i, j = _pair_columns(frm.n)
+    a0 = za[i] - za[j]
+    d = (zb[i] - zb[j]) - a0
+    dd = np.abs(d) ** 2
+    s = np.divide(-(a0 * d.conjugate()).real, dd, out=np.zeros(dd.shape),
+                  where=dd != 0.0)
+    closest = np.abs(a0 + np.clip(s, 0.0, 1.0) * d)
+    hit = np.nonzero(closest <= delta_sep)[0]
+    if hit.size:
+        k = hit[0]
+        raise PathCollisionError(f"chords of points {i[k]},{j[k]} collide")
+    return Segment("short", np.array([0.0, 1.0]), np.stack([za, zb]))
 
 
 @dataclass
@@ -282,13 +259,13 @@ def _flow_segment(spec: FlowSpec, zx: np.ndarray, durations: np.ndarray,
             f"flow segment needs more than {REFINE_CAP} samples")
     n_init = max(17, int(math.ceil(steps)) + 1)
     times = np.union1d(np.linspace(0.0, t_max, n_init), durations)
-    seg = _refine(evaluate, times, "flow", max_step, len(zx))
-    _check_separation(seg.points, delta_sep, "flow")
+    seg = _refine(evaluate, times, max_step, len(zx))
+    _check_separation(seg.points, delta_sep)
     return seg
 
 
-def _trace_legs(specs, x: ConfigTuple, base: ConfigTuple, mode: str,
-                delta_sep: float, max_step: float):
+def _trace_legs(specs, x: ConfigTuple, base: ConfigTuple, delta_sep: float,
+                max_step: float):
     """Inbound path, and per distinct flow (flow, [(k, index, outbound)]).
 
     Specs with the same components share one flow segment, refined to the
@@ -297,7 +274,7 @@ def _trace_legs(specs, x: ConfigTuple, base: ConfigTuple, mode: str,
     """
     if x.n != base.n:
         raise ValueError("tuple sizes differ")
-    inbound = short_path(base, x, mode, delta_sep, max_step)
+    inbound = short_path(base, x, delta_sep)
     zx = x.coords()
     groups: dict = {}
     for k, spec in enumerate(specs):
@@ -310,23 +287,22 @@ def _trace_legs(specs, x: ConfigTuple, base: ConfigTuple, mode: str,
         for k in ks:
             idx = int(np.searchsorted(flow.times, specs[k].duration))
             y = tuple_from_coords(flow.points[idx])
-            legs.append((k, idx, short_path(y, base, mode, delta_sep,
-                                            max_step)))
+            legs.append((k, idx, short_path(y, base, delta_sep)))
         flows.append((flow, legs))
     return inbound, flows
 
 
 def build_loop(spec: FlowSpec, x: ConfigTuple, base: ConfigTuple,
-               mode: str = "linear", delta_sep: float = DEFAULT_SEPARATION,
+               delta_sep: float = DEFAULT_SEPARATION,
                max_step: float = DEFAULT_MAX_STEP) -> LoopTrace:
-    """Short path in, flow trace, short path back; refined and collision-checked."""
+    """Chord in, refined flow trace, chord back; collision-checked."""
     inbound, [(flow, [(_k, _idx, outbound)])] = _trace_legs(
-        [spec], x, base, mode, delta_sep, max_step)
+        [spec], x, base, delta_sep, max_step)
     return LoopTrace(base, spec, spec.duration, (inbound, flow, outbound))
 
 
 def trace_words(specs, x: ConfigTuple, base: ConfigTuple,
-                omega: complex | None = None, mode: str = "linear"):
+                omega: complex | None = None):
     """Braid word of the loop each spec traces from x, from one shared trace.
 
     Equal to [extract_braid(build_loop(spec, x, base, ...), omega) for spec
@@ -336,7 +312,7 @@ def trace_words(specs, x: ConfigTuple, base: ConfigTuple,
     events of inbound path plus flow once per projection direction; only
     the outbound paths and their events are per spec.
     """
-    inbound, flows = _trace_legs(specs, x, base, mode, DEFAULT_SEPARATION,
+    inbound, flows = _trace_legs(specs, x, base, DEFAULT_SEPARATION,
                                  DEFAULT_MAX_STEP)
     head = len(inbound.times) - 1
     words = [None] * len(specs)
@@ -396,7 +372,7 @@ def _ray_events(psi: np.ndarray, w: np.ndarray, chi: float):
     level = np.floor(rel)
     jump = np.diff(level, axis=0)
     edge, pair = np.nonzero(jump)
-    if np.any(np.abs(jump[edge, pair]) != 1.0):  # steps < pi/8 cross one ray
+    if np.any(np.abs(jump[edge, pair]) != 1.0):  # straight edges cross once
         raise DegenerateDirectionError("multiple rays crossed in one edge")
     ray = np.exp(1j * (chi + math.pi * np.maximum(level[edge, pair],
                                                    level[edge + 1, pair])))

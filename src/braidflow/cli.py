@@ -110,6 +110,49 @@ DEFAULTS = {
 _FLAG_KEYS = {"seed": "seed", "samples": "samples", "p": "p",
               "measure": "measure"}
 
+_KIND = (lambda v: v in braid_algebra.QM_KINDS,
+         f"one of {', '.join(braid_algebra.QM_KINDS)}")
+_DURATIONS = (lambda v: len(v) > 0 and all(0.0 < float(t) < math.inf
+                                            for t in v),
+              "a nonempty list of positive finite durations")
+_EXPONENT = (lambda v: float(v) >= 1.0, ">= 1")
+
+# Values refused before a command runs: key -> (test, what it must be).  A
+# test may raise TypeError or ValueError on a value of the wrong type.
+_RANGES = {
+    "gg-check": {
+        "n_points": (lambda v: v >= 4 and v % 2 == 0, "an even number >= 4"),
+        "kind": _KIND,
+    },
+    "psi-bound": {
+        "a_max": (lambda v: float(v) > 1.0, "> 1"),
+        "n_grid": (lambda v: v >= 3, ">= 3"),
+        "tol": (lambda v: float(v) > 0.0, "> 0"),
+    },
+    "embed-demo": {
+        "d": (lambda v: 1 <= v <= 4, "between 1 and 4"),
+        "p": _EXPONENT,
+    },
+    "braid-of-flow": {
+        "n_points": (lambda v: v >= 1, ">= 1"),
+    },
+    "coarea-check": {
+        # fewer would average over no directions or no pairs
+        "n_loops": (lambda v: v >= 1, ">= 1"),
+        "n_dirs": (lambda v: v >= 1, ">= 1"),
+        "n_points": (lambda v: v >= 2, ">= 2"),
+        "t_choices": _DURATIONS,
+    },
+    "lp-length": {
+        "p": _EXPONENT,
+        "t_list": _DURATIONS,
+    },
+    "phi-estimate": {
+        "n_points": (lambda v: v >= 2, ">= 2"),
+        "kind": _KIND,
+    },
+}
+
 
 def _plain(x):
     """JSON-safe copy: tuples to lists, numpy scalars to python numbers."""
@@ -163,6 +206,13 @@ def resolve_params(command: str, args) -> dict:
             raise ConfigError(f"{key} must be an integer, not {value!r}")
     if params.get("seed", 0) < 0:
         raise ConfigError("seed must be nonnegative")
+    for key, (test, want) in _RANGES.get(command, {}).items():
+        try:
+            ok = test(params[key])
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise ConfigError(f"{key} must be {want}, not {params[key]!r}")
     return params
 
 
@@ -241,8 +291,6 @@ def _report(command: str, params: dict, results: dict,
 def cmd_gg_check(params: dict, out: Path) -> int:
     profile = _resolve_profile(params["profile"])
     n_points = params["n_points"]
-    if n_points < 4 or n_points % 2:
-        raise ConfigError("n_points must be an even number >= 4")
     n_formula = n_points // 2 + (1 if params["mismatch_n"] else 0)
     gg = analysis_bench.gg_rhs(profile, n_formula)
     qm = braid_algebra.qm_for_strands(n_points, params["kind"])
@@ -273,8 +321,6 @@ def cmd_psi_bound(params: dict, out: Path) -> int:
     n_grid = params["n_grid"]
     tol = float(params["tol"])
     tail_a = float(params["tail_a"])
-    if a_max <= 1.0 or n_grid < 3:
-        raise ConfigError("need a_max > 1 and n_grid >= 3")
     grid = sorted({0.0, 1.0, tail_a, a_max}
                   | set(np.geomspace(0.1, a_max, n_grid).tolist()))
     rows = []
@@ -305,8 +351,6 @@ def cmd_psi_bound(params: dict, out: Path) -> int:
 
 def cmd_embed_demo(params: dict, out: Path) -> int:
     d = params["d"]
-    if not 1 <= d <= 4:
-        raise ConfigError("d must be between 1 and 4")
     profiles = analysis_bench.default_embedding_profiles(
         d, float(params["height"]), float(params["ramp"]))
     rng = np.random.default_rng(
@@ -449,13 +493,10 @@ def cmd_lp_length(params: dict, out: Path) -> int:
     weight = float(params["weight"])
     p = float(params["p"])
     t_list = [float(t) for t in params["t_list"]]
-    if not t_list:
-        raise ConfigError("t_list must be nonempty")
     rows = []
     for t in t_list:
-        with _refusal_is_config_error():  # p below 1, or a duration t <= 0
-            length = flow_engine.lp_length(
-                flow_engine.FlowSpec(((profile, weight),), t), p)
+        length = flow_engine.lp_length(
+            flow_engine.FlowSpec(((profile, weight),), t), p)
         rows.append((t, p, length, length / t))
     per_t = [r[3] for r in rows]
     scaling_ok = (max(per_t) - min(per_t)) <= 1e-9 * max(per_t)

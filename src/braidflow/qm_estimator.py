@@ -18,7 +18,6 @@ import numpy as np
 from .braid_algebra import QmOnBraids, evaluate_word
 from .braid_trace import (
     ConfigTuple,
-    LoopTrace,
     TraceRejection,
     base_tuple,
     build_loop,
@@ -69,12 +68,12 @@ class PhiBarEstimate:
 
 
 def integrand(spec: FlowSpec, x: ConfigTuple, qm: QmOnBraids,
-              omega: complex | None = None, base: ConfigTuple | None = None,
-              mode: str = "linear") -> float:
+              omega: complex | None = None,
+              base: ConfigTuple | None = None) -> float:
     """Braid invariant of the loop traced by x under the flow."""
     if base is None:
         base = base_tuple(x.n)
-    loop = build_loop(spec, x, base, mode=mode)
+    loop = build_loop(spec, x, base)
     word = extract_braid(loop, omega)
     return evaluate_word(word, qm)
 
@@ -94,8 +93,7 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return mean, float(np.std(values, ddof=1)) / math.sqrt(len(values))
 
 
-def _draw_values(specs, n_points, qm, samples, seed, base, omega, mode,
-                 ceiling):
+def _draw_values(specs, n_points, qm, samples, seed, base, omega, ceiling):
     """values[k, s] for each sample k and spec s; CRN across the specs.
 
     Each sample is traced once for all specs (see trace_words): they share
@@ -108,7 +106,7 @@ def _draw_values(specs, n_points, qm, samples, seed, base, omega, mode,
         for _attempt in range(_MAX_DRAWS_PER_SAMPLE):
             try:
                 x = random_tuple(rng, n_points)
-                words = trace_words(specs, x, base, omega, mode)
+                words = trace_words(specs, x, base, omega)
                 row = [evaluate_word(word, qm) for word in words]
             except TraceRejection:
                 rejected += 1
@@ -128,15 +126,14 @@ def _draw_values(specs, n_points, qm, samples, seed, base, omega, mode,
 def phi_estimate(spec: FlowSpec, n_points: int, qm: QmOnBraids, samples: int,
                  seed: int, base_eps: float = 0.1,
                  convention: MeasureConvention = PROBABILITY,
-                 omega: complex | None = None, mode: str = "linear",
+                 omega: complex | None = None,
                  rejection_ceiling: float = DEFAULT_REJECTION_CEILING) -> QMEstimate:
     """Mean of the braid invariant over i.i.d. configuration samples."""
     if samples < 2:
         raise EstimatorArgumentError("need at least 2 samples")
     base = base_tuple(n_points, base_eps)
     values, rejected = _draw_values(
-        [spec], n_points, qm, samples, seed, base, omega, mode,
-        rejection_ceiling)
+        [spec], n_points, qm, samples, seed, base, omega, rejection_ceiling)
     factor = _measure_factor(convention, n_points)
     mean, err = _mean_stderr(values[:, 0])
     return QMEstimate(mean * factor, err * factor, samples, rejected,
@@ -146,7 +143,7 @@ def phi_estimate(spec: FlowSpec, n_points: int, qm: QmOnBraids, samples: int,
 def phi_bar_estimate(spec: FlowSpec, t_list, n_points: int, qm: QmOnBraids,
                      samples: int, seed: int, base_eps: float = 0.1,
                      convention: MeasureConvention = PROBABILITY,
-                     omega: complex | None = None, mode: str = "linear",
+                     omega: complex | None = None,
                      rejection_ceiling: float = DEFAULT_REJECTION_CEILING,
                      ) -> PhiBarEstimate:
     """Growth rate of the flow functional with the duration.
@@ -167,7 +164,7 @@ def phi_bar_estimate(spec: FlowSpec, t_list, n_points: int, qm: QmOnBraids,
     base = base_tuple(n_points, base_eps)
     values, rejected = _draw_values(
         [FlowSpec(spec.components, t) for t in t_list], n_points, qm,
-        samples, seed, base, omega, mode, rejection_ceiling)
+        samples, seed, base, omega, rejection_ceiling)
     factor = _measure_factor(convention, n_points)
     ts = np.array(t_list)
     centered = ts - ts.mean()
@@ -191,7 +188,7 @@ def qm_property_monitor(spec_f: FlowSpec, spec_g: FlowSpec, n_points: int,
                         qm: QmOnBraids, samples: int, seed: int,
                         base_eps: float = 0.1,
                         convention: MeasureConvention = PROBABILITY,
-                        omega: complex | None = None, mode: str = "linear",
+                        omega: complex | None = None,
                         rejection_ceiling: float = DEFAULT_REJECTION_CEILING,
                         ) -> QMEstimate:
     """|Phi(fg) - Phi(f) - Phi(g)| with the same samples for all three terms."""
@@ -201,7 +198,7 @@ def qm_property_monitor(spec_f: FlowSpec, spec_g: FlowSpec, n_points: int,
     composite = compose_specs(spec_f, spec_g)
     values, rejected = _draw_values(
         [composite, spec_f, spec_g], n_points, qm, samples, seed, base, omega,
-        mode, rejection_ceiling)
+        rejection_ceiling)
     diffs = values[:, 0] - values[:, 1] - values[:, 2]
     factor = _measure_factor(convention, n_points)
     mean, err = _mean_stderr(diffs)

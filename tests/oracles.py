@@ -17,9 +17,13 @@ package's own algorithms, so tests compare two unrelated routes:
   in u, in r and nested in polar coordinates, beside the package's
   piecewise-exact arc quadrature and closed-form angular integral.
 * braid_per_duration: one loop traced and read off on its own (inbound path,
-  flow refined on [0, T], outbound path, crossings scanned pair by pair),
-  beside the package's tracer, which shares the inbound path, the flow
-  refinement and the crossing events between durations and flows.
+  flow refined on [0, T], outbound path, every piece bisected to small
+  pair-angle steps, crossings scanned pair by pair), beside the package's
+  tracer, which reads each short path as one exact chord and shares the
+  inbound path, the flow refinement and the crossing events between
+  durations and flows.
+* chord_events: the crossings of one short path, read pair by pair off its
+  bisected chords, beside the package's single-edge chord.
 """
 
 from __future__ import annotations
@@ -358,33 +362,46 @@ def _check_separation(pts: np.ndarray, delta: float):
                 raise PathCollisionError(f"points {i},{j} collide")
 
 
-def _short_path(za, zb, mode: str, delta: float, max_step: float):
-    """Samples of the path from tuple za to tuple zb (complex arrays)."""
+def _short_path(za, zb, delta: float, max_step: float):
+    """Samples of the straight chords from tuple za to tuple zb (complex
+    arrays), bisected until no pair angle moves more than max_step."""
     from braidflow.braid_trace import PathCollisionError
-    from braidflow.chart_geometry import ChartPoint, geodesic_path
 
     n = len(za)
-    if mode == "linear":
-        for i in range(n):
-            for j in range(i + 1, n):
-                a0, a1 = za[i] - za[j], zb[i] - zb[j]
-                d = a1 - a0
-                t = 0.0 if d == 0 else min(1.0, max(0.0, -(
-                    (a0 * d.conjugate()).real) / abs(d) ** 2))
-                if abs(a0 + t * d) <= delta:
-                    raise PathCollisionError(f"chords {i},{j} collide")
-        return _refine(lambda ts: (1.0 - ts[:, None]) * za + ts[:, None] * zb,
-                       1.0, 17, max_step, n)
-    pa = [ChartPoint(complex(z)) for z in za]
-    pb = [ChartPoint(complex(z)) for z in zb]
+    for i in range(n):
+        for j in range(i + 1, n):
+            a0, a1 = za[i] - za[j], zb[i] - zb[j]
+            d = a1 - a0
+            t = 0.0 if d == 0 else min(1.0, max(0.0, -(
+                (a0 * d.conjugate()).real) / abs(d) ** 2))
+            if abs(a0 + t * d) <= delta:
+                raise PathCollisionError(f"chords {i},{j} collide")
+    return _refine(lambda ts: (1.0 - ts[:, None]) * za + ts[:, None] * zb,
+                   1.0, 17, max_step, n)
+
+
+def chord_events(za, zb, chi: float, delta: float = 1e-9,
+                 max_step: float = math.pi / 8):
+    """Sorted (s, i, j, sign) of every crossing of the line at angle chi by a
+    pair vector z_i - z_j along the chords from za to zb, s in [0, 1]."""
+    grids = []
 
     def evaluate(ts):
-        return np.array([[geodesic_path(x, y, float(t)).require_finite()
-                          for x, y in zip(pa, pb)] for t in ts], dtype=complex)
+        grids.append(ts)
+        return (1.0 - ts[:, None]) * za + ts[:, None] * zb
 
-    pts = _refine(evaluate, 1.0, 33, max_step, n)
-    _check_separation(pts, delta)
-    return pts
+    _short_path(za, zb, delta, max_step)  # the same collision check
+    pts = _refine(evaluate, 1.0, 17, max_step, len(za))
+    ts = grids[-1]
+    events = []
+    for i in range(len(za)):
+        for j in range(i + 1, len(za)):
+            w = pts[:, i] - pts[:, j]
+            psi = np.concatenate(([math.atan2(w[0].imag, w[0].real)],
+                                  _wrapped_steps(w))).cumsum()
+            events += [(ts[e] + f * (ts[e + 1] - ts[e]), i, j, sign)
+                       for e, f, sign in _pair_events(psi, w, chi)]
+    return sorted(events)
 
 
 def _pair_events(psi: np.ndarray, w: np.ndarray, chi: float):
@@ -446,8 +463,7 @@ def _word_from_samples(z: np.ndarray, om: complex):
     return word
 
 
-def braid_per_duration(spec, x, base, mode: str = "linear",
-                       omega: complex | None = None,
+def braid_per_duration(spec, x, base, omega: complex | None = None,
                        delta: float = 1e-9, max_step: float = math.pi / 8):
     """Braid word of one traced loop, built and read off on its own.
 
@@ -462,7 +478,7 @@ def braid_per_duration(spec, x, base, mode: str = "linear",
                                        ExtractionError, tuple_from_coords)
 
     za, zx = base.coords(), x.coords()
-    inbound = _short_path(za, zx, mode, delta, max_step)
+    inbound = _short_path(za, zx, delta, max_step)
     rates = np.atleast_1d(spec.angular_rate(np.abs(zx)))
     spread = float(np.max(rates) - np.min(rates))
     n_init = max(17, int(math.ceil(4.0 * spread * spec.duration)) + 1)
@@ -471,7 +487,7 @@ def braid_per_duration(spec, x, base, mode: str = "linear",
         spec.duration, n_init, max_step, x.n)
     _check_separation(flow, delta)
     y = tuple_from_coords(flow[-1]).coords()
-    outbound = _short_path(y, za, mode, delta, max_step)
+    outbound = _short_path(y, za, delta, max_step)
     if x.n == 1:
         return BraidWord((), 1)
     z = np.concatenate([inbound, flow[1:], outbound[1:]])

@@ -28,7 +28,10 @@ from braidflow.braid_trace import (
     trace_words,
     tuple_from_coords,
     winding,
+    _pair_columns,
+    _ray_events,
     _trace_legs,
+    _unwrapped,
 )
 from braidflow.flow_engine import (
     FlowSpec,
@@ -37,7 +40,7 @@ from braidflow.flow_engine import (
     single_flow,
     step_profile,
 )
-from oracles import braid_per_duration
+from oracles import braid_per_duration, chord_events
 
 STEP = step_profile(1.0, math.sqrt(1.0 / 3.0))
 
@@ -154,26 +157,48 @@ def test_short_path_linear_collision_rejected():
     frm = tuple_from_coords([-1.0, 1.0])
     to = tuple_from_coords([1.0, -1.0])
     with pytest.raises(TraceRejection):
-        short_path(frm, to, mode="linear")
+        short_path(frm, to)
 
 
 def test_short_path_endpoints():
     frm, to = base_tuple(3, 0.1), base_tuple(3, 0.4)
-    seg = short_path(frm, to, mode="linear")
-    assert np.allclose(seg.points[0], frm.coords())
-    assert np.allclose(seg.points[-1], to.coords())
+    seg = short_path(frm, to)
+    assert seg.times.tolist() == [0.0, 1.0]
+    assert np.array_equal(seg.points, np.stack([frm.coords(), to.coords()]))
 
 
-def test_geodesic_mode_matches_linear_invariants():
-    x = tuple_from_coords([0.3 + 0.2j, -0.25 + 0.3j, 0.1 - 0.4j])
-    lin = build_loop(single_flow(STEP, 2.0), x, base_tuple(3), mode="linear")
-    geo = build_loop(single_flow(STEP, 2.0), x, base_tuple(3),
-                     mode="geodesic")
-    for i in range(3):
-        for j in range(i + 1, 3):
-            assert winding(lin, i, j) == pytest.approx(winding(geo, i, j))
-    assert signature(extract_braid(lin)) == signature(extract_braid(geo))
-    assert writhe(extract_braid(lin)) == writhe(extract_braid(geo))
+@given(st.integers(2, 6), st.booleans(), st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_chord_events_match_refined_oracle_chord(n, to_base, salt):
+    # each pair vector is affine along the chord, so the one edge crosses
+    # the projection line where the bisected chord does, in the same order.
+    # The direction is drawn, not picked: one within rounding of a base pair
+    # vector (chi = 0 for n = 2) leaves the endpoint's side to rounding
+    rng = np.random.default_rng((4711, salt))
+    chi = float(rng.uniform(-math.pi, math.pi))
+    try:
+        x = random_tuple(rng, n)
+        y = base_tuple(n) if to_base else random_tuple(rng, n)
+    except TraceRejection:
+        return
+    try:
+        seg = short_path(x, y)
+    except TraceRejection:
+        with pytest.raises(TraceRejection):
+            chord_events(x.coords(), y.coords(), chi)
+        return
+    i, j = _pair_columns(n)
+    w = seg.points[:, i] - seg.points[:, j]
+    try:
+        edge, frac, pair, sign = _ray_events(_unwrapped(w, np.angle(w[0])),
+                                             w, chi)
+        want = chord_events(x.coords(), y.coords(), chi)
+    except DegenerateDirectionError:
+        return
+    assert not edge.any()
+    assert ([(i[p], j[p], s) for p, s in zip(pair, sign)]
+            == [(a, b, s) for _s, a, b, s in want])
+    assert np.allclose(frac, [ev[0] for ev in want], rtol=0.0, atol=1e-12)
 
 
 def test_loop_samples_are_deduplicated_and_closed():
@@ -186,10 +211,14 @@ def test_loop_samples_are_deduplicated_and_closed():
 
 
 def test_pair_angle_steps_are_refined():
+    # the flow is bisected to small steps; the chords stay single edges
     loop = co_rotating_pair(2)
-    for i, j in ((0, 1),):
-        psi = loop.pair_angles(i, j)
-        assert np.max(np.abs(np.diff(psi))) <= math.pi / 8.0 + 1e-9
+    flow = loop.segments[1]
+    assert flow.kind == "flow"
+    w = flow.points[:, 0] - flow.points[:, 1]
+    psi = np.unwrap(np.angle(w))
+    assert np.max(np.abs(np.diff(psi))) <= math.pi / 8.0 + 1e-9
+    assert [len(seg.times) for seg in loop.segments[::2]] == [2, 2]
 
 
 def test_trace_csv_format():
@@ -230,15 +259,14 @@ def spec_lists(height, shape, durations):
     return [FlowSpec(((step, 1.0),), t) for t in durations]
 
 
-@given(st.integers(2, 5), st.sampled_from(["linear", "geodesic"]),
-       st.sampled_from(["single", "increasing", "monitor"]),
+@given(st.integers(2, 5), st.sampled_from(["single", "increasing", "monitor"]),
        st.lists(st.sampled_from([0.25, 0.6, 1.0, 1.5, 2.0, 3.0]), min_size=1,
                 max_size=4, unique=True).map(sorted),
        st.floats(-2.0, 2.0).filter(lambda h: abs(h) > 0.05),
        st.integers(0, 10 ** 6))
 @settings(max_examples=40, deadline=None)
-def test_shared_trace_matches_per_duration_oracle(n, mode, shape, durations,
-                                                  height, salt):
+def test_shared_trace_matches_per_duration_oracle(n, shape, durations, height,
+                                                  salt):
     # one trace for all specs reads the same braid, spec by spec, as tracing
     # every loop on its own; a sample is rejected iff some loop rejects it
     rng = np.random.default_rng((1729, salt))
@@ -249,14 +277,14 @@ def test_shared_trace_matches_per_duration_oracle(n, mode, shape, durations,
     specs = spec_lists(height, shape, durations)
     base = base_tuple(n)
     try:
-        words = trace_words(specs, x, base, mode=mode)
+        words = trace_words(specs, x, base)
     except TraceRejection:
         with pytest.raises(TraceRejection):
             for spec in specs:
-                braid_per_duration(spec, x, base, mode)
+                braid_per_duration(spec, x, base)
         return
     for spec, word in zip(specs, words):
-        old = braid_per_duration(spec, x, base, mode)
+        old = braid_per_duration(spec, x, base)
         assert signature(word) == signature(old)
         assert writhe(word) == writhe(old)
         assert is_pure(word)
@@ -294,8 +322,8 @@ def test_flow_passing_too_close_rejects_the_sample():
     base = base_tuple(2, 0.5)
     x = tuple_from_coords([-0.3, 0.6])
     quarter, full = single_flow(STEP, 0.25), single_flow(STEP, 1.0)
-    _trace_legs([quarter], x, base, "linear", 0.35, DEFAULT_MAX_STEP)
+    _trace_legs([quarter], x, base, 0.35, DEFAULT_MAX_STEP)
     with pytest.raises(PathCollisionError, match="flow"):
         build_loop(full, x, base, delta_sep=0.35)
     with pytest.raises(PathCollisionError, match="flow"):
-        _trace_legs([quarter, full], x, base, "linear", 0.35, DEFAULT_MAX_STEP)
+        _trace_legs([quarter, full], x, base, 0.35, DEFAULT_MAX_STEP)

@@ -168,6 +168,17 @@ def test_seed_flag_reaches_report(tmp_path):
     ("gg-check", {"t_list": [1, 2]}, []),
     ("braid-of-flow", {"duration": 0.0}, []),
     ("braid-of-flow", {"duration": math.nan}, []),
+    ("gg-check", {"kind": "bogus"}, []),
+    ("phi-estimate", {"n_points": 1}, []),
+    ("braid-of-flow", {"n_points": 0}, []),
+    ("embed-demo", {"p": 0.5}, []),
+    ("psi-bound", {"tol": 0}, []),
+    ("coarea-check", {"n_dirs": 0}, []),
+    ("coarea-check", {"n_loops": 0}, []),
+    ("coarea-check", {"n_points": 1}, []),
+    ("coarea-check", {"t_choices": []}, []),
+    ("lp-length", {"t_list": []}, []),
+    ("lp-length", {"t_list": "abc"}, []),
 ])
 def test_bad_input_is_a_one_line_config_error(tmp_path, capsys, command,
                                               config, flags):

@@ -31,7 +31,7 @@ ANNULUS = annulus_profile(-0.7, 0.9, 1.5)
 def draw(specs, samples, seed):
     values, rejected = _draw_values(
         specs, 4, qm_for_strands(4), samples, seed, base_tuple(4, 0.1), None,
-        "linear", DEFAULT_REJECTION_CEILING)
+        DEFAULT_REJECTION_CEILING)
     return values.tolist(), rejected
 
 
