@@ -65,6 +65,7 @@ from .braid_algebra import (
     calibrate_ratio,
     defect_estimate,
     evaluate_word,
+    evaluate_words,
     full_twist,
     homogenized_signature,
     qm_for_strands,
@@ -73,6 +74,7 @@ from .braid_algebra import (
     seifert_matrix,
     signature,
     signature_of_form,
+    signatures,
     writhe,
 )
 from .qm_estimator import (

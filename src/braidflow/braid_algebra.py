@@ -6,6 +6,12 @@ The closure invariants implemented here are the writhe homomorphism, the
 Seifert form of the closed-braid surface, its exact integer signature, the
 homogenization along powers, and the writhe-corrected signature combination
 that vanishes on full twists.
+
+Signatures are streamed: `signatures` reads a word once, eliminating each
+basis loop of the Seifert form from the fraction-free Schur complement as
+soon as its second band is read, and words that share a prefix share the
+stream up to where they part.  The built form, `seifert_matrix` reduced by
+`signature_of_form`, is the reference route beside it.
 """
 
 from __future__ import annotations
@@ -235,10 +241,172 @@ def signature_of_form(sym: np.ndarray) -> int:
     return sig
 
 
+class _SignatureStream:
+    """Exact signature of the closure of a word read one letter at a time.
+
+    The basis loops of the closed-braid surface are those of
+    `seifert_matrix`, named by the word position of their first band, but
+    every band opens a loop: a column's last one is dropped when the word
+    ends, which is exact because an open loop is never a pivot or a repair
+    partner.  A loop meets only loops that start no later than its second
+    band, so when band q of column c closes loop x, opened at band a, x's
+    row of M = V + V^T is complete: M[x, x] = -(s_a + s_q), the loop y
+    opened at q has M[x, y] = s_q, and the open loop of column c - 1 (c + 1)
+    has -1 (+1) if it opened after a.  Then x is eliminated (Haynsworth:
+    sig M = sig(pivot) + sig(Schur complement)), first repaired by x += j
+    if its pivot is zero and it meets a deferred loop j, or else deferred.
+
+    `rows` holds the Schur complement on the loops still active, at most
+    one open loop per column and the deferred ones, as fraction-free
+    (Bareiss) integers: the Schur entries times `prev`, the last pivot.  An
+    entry learned from M is added at that level.  Between letters the
+    deferred loops meet only open loops: their block is zero.  An
+    elimination changes that block by a rank-one term -u u^T / p, so the
+    loops it reaches get nonzero pivots, and eliminating one of them makes
+    the block zero again.  Once the open loops are dropped, the deferred
+    ones are the radical, and `sig` is the signature of the word read so
+    far.
+    """
+
+    __slots__ = ("rows", "cols", "signs", "deferred", "prev", "sig")
+
+    def __init__(self, width: int):
+        self.rows: dict[int, dict[int, int]] = {}  # symmetric, both halves
+        self.cols = [-1] * (width + 2)  # open loop of each column, or -1
+        self.signs = [0] * (width + 2)  # sign of that loop's first band
+        self.deferred: list[int] = []
+        self.prev = 1
+        self.sig = 0
+
+    def copy(self) -> "_SignatureStream":
+        new = _SignatureStream.__new__(_SignatureStream)
+        new.rows = {i: dict(r) for i, r in self.rows.items()}
+        new.cols = list(self.cols)
+        new.signs = list(self.signs)
+        new.deferred = list(self.deferred)
+        new.prev = self.prev
+        new.sig = self.sig
+        return new
+
+    def feed(self, letters, start: int, stop: int) -> None:
+        """Read letters[start:stop]; their positions name the loops."""
+        rows, cols, signs = self.rows, self.cols, self.signs
+        for q in range(start, stop):
+            l = letters[q]
+            c = l if l > 0 else -l
+            s = 1 if l > 0 else -1
+            a = cols[c]
+            cols[c] = q
+            if a < 0:
+                rows[q] = {}
+                signs[c] = s
+                continue
+            prev = self.prev
+            rx = rows[a]
+            rx[a] = rx.get(a, 0) - (signs[c] + s) * prev
+            signs[c] = s
+            rx[q] = s * prev
+            rows[q] = {a: s * prev}
+            for b, v in ((cols[c - 1], -prev), (cols[c + 1], prev)):
+                if b > a:
+                    v += rx.get(b, 0)
+                    rx[b] = v
+                    rows[b][a] = v
+            self._close(a)
+
+    def _close(self, x: int) -> None:
+        """Eliminate x, whose row is final, or defer it."""
+        rows, deferred = self.rows, self.deferred
+        rx = rows[x]
+        if not rx[x]:
+            j = next((j for j in deferred if rx.get(j, 0)), None)
+            if j is None:
+                deferred.append(x)
+                return
+            # x += j: j is deferred, so M[j, j] = 0 and the pivot is 2 M[x, j]
+            b = rx[j]
+            for i, v in rows[j].items():
+                if i != x:
+                    rx[i] = rx.get(i, 0) + v
+            rx[x] = 2 * b
+            for i, v in rx.items():
+                if i != x:
+                    rows[i][x] = v
+        self._eliminate(x)
+        # the elimination changed the deferred block by a rank-one term;
+        # eliminating one loop it reached makes the block zero again
+        d = next((d for d in deferred if rows[d][d]), None)
+        if d is not None:
+            deferred.remove(d)
+            self._eliminate(d)
+
+    def _eliminate(self, k: int) -> None:
+        """One Bareiss step on pivot k over every active row."""
+        rows = self.rows
+        rk = rows.pop(k)
+        p = rk.pop(k)
+        prev = self.prev
+        self.sig += 1 if (p > 0) == (prev > 0) else -1
+        for i, ri in rows.items():
+            bi = ri.pop(k, 0)
+            if bi:
+                for j, bj in rk.items():
+                    ri[j] = (p * ri.get(j, 0) - bi * bj) // prev
+                for j, v in ri.items():
+                    if j not in rk:
+                        ri[j] = p * v // prev
+            elif p != prev:
+                for j, v in ri.items():
+                    ri[j] = p * v // prev
+        self.prev = p
+
+
+def _common_prefix(a: tuple, b: tuple) -> int:
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
+                min(len(a), len(b)))
+
+
+def signatures(words) -> list[int]:
+    """Link signatures of the braid closures of several words, exactly.
+
+    The longest word is streamed once (see _SignatureStream).  Wherever
+    another word leaves it, the stream's state is copied and that word is
+    finished from the copy, so words that share a prefix (the durations of
+    one sampled loop, the powers of a word) share its cost.  No free
+    reduction is needed: the signature is a link invariant.
+    """
+    words = list(words)
+    if not words:
+        return []
+    longest = max(words, key=len).letters
+    width = max((abs(l) for w in words for l in w.letters), default=0)
+    cuts: dict[int, list[int]] = {}
+    for k, w in enumerate(words):
+        cuts.setdefault(_common_prefix(longest, w.letters), []).append(k)
+    sigs = [0] * len(words)
+    stream = _SignatureStream(width)
+    pos = 0
+    for cut in sorted(cuts):
+        stream.feed(longest, pos, cut)
+        pos = cut
+        for k in cuts[cut]:
+            letters = words[k].letters
+            if len(letters) == cut:
+                sigs[k] = stream.sig
+            else:
+                branch = stream.copy()
+                branch.feed(letters, cut, len(letters))
+                sigs[k] = branch.sig
+    return sigs
+
+
 def signature(word: BraidWord) -> int:
-    """Link signature of the braid closure (exact integer arithmetic)."""
-    V = seifert_matrix(word)
-    return signature_of_form(V + V.T)
+    """Link signature of the braid closure (exact integer arithmetic).
+
+    Streamed along the word by `signatures`; signature_of_form of
+    V + V^T, with V = seifert_matrix(word), is the reference route.
+    """
+    return signatures([word])[0]
 
 
 @dataclass(frozen=True)
@@ -252,9 +420,8 @@ def homogenized_signature(word: BraidWord, depth: int) -> HomogenizedValue:
     """Estimates lim signature(word^k)/k by the last term of the sequence."""
     if depth < 2:
         raise ValueError("homogenization depth must be >= 2")
-    seq = []
-    for k in range(1, depth + 1):
-        seq.append((k, signature(word.power(k)) / k))
+    sigs = signatures([word.power(k) for k in range(1, depth + 1)])
+    seq = [(k, sig / k) for k, sig in enumerate(sigs, 1)]
     gap = abs(seq[-1][1] - seq[-2][1])
     return HomogenizedValue(seq[-1][1], tuple(seq), gap)
 
@@ -275,7 +442,7 @@ def calibrate_ratio(n: int, depth: int = 6) -> Fraction:
         if n in _RATIO_CACHE:
             return _RATIO_CACHE[n]
     twist = full_twist(n)
-    sigs = [signature(twist.power(k)) for k in range(1, depth + 1)]
+    sigs = signatures([twist.power(k) for k in range(1, depth + 1)])
     diffs = [b - a for a, b in zip(sigs, sigs[1:])]
     rate = None
     for d_prev, d_next in zip(diffs, diffs[1:]):
@@ -354,9 +521,17 @@ def evaluate_word(word: BraidWord, qm: QmOnBraids) -> float:
     raw kind); the bounded gap to the homogenized value drops out of any
     slope in the flow duration.
     """
+    return evaluate_words([word], qm)[0]
+
+
+def evaluate_words(words, qm: QmOnBraids) -> list[float]:
+    """evaluate_word of each word, with one signature stream for all."""
+    words = list(words)
     if qm.homogenize:
-        return s_value(word, qm)
-    return float(raw_combination(word, qm))
+        return [s_value(word, qm) for word in words]
+    ratios = [qm._checked_ratio(word) for word in words]
+    return [float(Fraction(sig) - ratio * writhe(word))
+            for word, ratio, sig in zip(words, ratios, signatures(words))]
 
 
 def defect_estimate(n_strands: int, sampler, trials: int,

@@ -116,6 +116,12 @@ _DURATIONS = (lambda v: len(v) > 0 and all(0.0 < float(t) < math.inf
                                             for t in v),
               "a nonempty list of positive finite durations")
 _EXPONENT = (lambda v: float(v) >= 1.0, ">= 1")
+_POSITIVE = (lambda v: 0.0 < float(v) < math.inf, "positive and finite")
+_FINITE = (lambda v: math.isfinite(float(v)), "a finite number")
+_POINTS = (lambda v: v is None or (isinstance(v, list) and all(
+               len(z) == 2 and all(math.isfinite(float(c)) for c in z)
+               for z in v)),
+           "null or a list of [re, im] pairs of finite numbers")
 
 # Values refused before a command runs: key -> (test, what it must be).  A
 # test may raise TypeError or ValueError on a value of the wrong type.
@@ -123,18 +129,27 @@ _RANGES = {
     "gg-check": {
         "n_points": (lambda v: v >= 4 and v % 2 == 0, "an even number >= 4"),
         "kind": _KIND,
+        "tolerance_rel": _POSITIVE,
     },
     "psi-bound": {
         "a_max": (lambda v: float(v) > 1.0, "> 1"),
         "n_grid": (lambda v: v >= 3, ">= 3"),
         "tol": (lambda v: float(v) > 0.0, "> 0"),
+        "tail_a": _POSITIVE,
     },
     "embed-demo": {
         "d": (lambda v: 1 <= v <= 4, "between 1 and 4"),
         "p": _EXPONENT,
+        "n_vectors": (lambda v: v >= 1, ">= 1"),
+        "v_scale": _POSITIVE,
+        "height": _FINITE,
+        "ramp": _POSITIVE,
+        "ratio_spread_max": _POSITIVE,
     },
     "braid-of-flow": {
         "n_points": (lambda v: v >= 1, ">= 1"),
+        "duration": _POSITIVE,
+        "x": _POINTS,
     },
     "coarea-check": {
         # fewer would average over no directions or no pairs
@@ -142,12 +157,16 @@ _RANGES = {
         "n_dirs": (lambda v: v >= 1, ">= 1"),
         "n_points": (lambda v: v >= 2, ">= 2"),
         "t_choices": _DURATIONS,
+        "tolerance_rel": _POSITIVE,
     },
     "lp-length": {
+        "weight": _FINITE,
         "p": _EXPONENT,
         "t_list": _DURATIONS,
+        "tolerance_rel": _POSITIVE,
     },
     "phi-estimate": {
+        "duration": _POSITIVE,
         "n_points": (lambda v: v >= 2, ">= 2"),
         "kind": _KIND,
     },
@@ -202,8 +221,9 @@ def resolve_params(command: str, args) -> dict:
         params["mismatch_n"] = True
     for key, default in DEFAULTS[command].items():
         value = params[key]
-        if type(default) is int and type(value) is not int:
-            raise ConfigError(f"{key} must be an integer, not {value!r}")
+        if type(default) in (int, bool) and type(value) is not type(default):
+            what = "an integer" if type(default) is int else "true or false"
+            raise ConfigError(f"{key} must be {what}, not {value!r}")
     if params.get("seed", 0) < 0:
         raise ConfigError("seed must be nonnegative")
     for key, (test, want) in _RANGES.get(command, {}).items():
@@ -223,11 +243,6 @@ def _refusal_is_config_error(kind=ValueError):
         yield
     except kind as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _flow(profile, duration) -> flow_engine.FlowSpec:
-    with _refusal_is_config_error():  # a duration <= 0
-        return flow_engine.single_flow(profile, float(duration))
 
 
 def _resolve_profile(desc) -> flow_engine.RadialProfile:
@@ -351,8 +366,9 @@ def cmd_psi_bound(params: dict, out: Path) -> int:
 
 def cmd_embed_demo(params: dict, out: Path) -> int:
     d = params["d"]
-    profiles = analysis_bench.default_embedding_profiles(
-        d, float(params["height"]), float(params["ramp"]))
+    with _refusal_is_config_error():  # a ramp too wide for d annuli
+        profiles = analysis_bench.default_embedding_profiles(
+            d, float(params["height"]), float(params["ramp"]))
     rng = np.random.default_rng(
         np.random.SeedSequence((params["seed"], 0xE3BED)))
     vs = rng.uniform(-float(params["v_scale"]), float(params["v_scale"]),
@@ -388,7 +404,7 @@ def cmd_embed_demo(params: dict, out: Path) -> int:
 def cmd_braid_of_flow(params: dict, out: Path) -> int:
     profile = _resolve_profile(params["profile"])
     n_points = params["n_points"]
-    spec = _flow(profile, params["duration"])
+    spec = flow_engine.single_flow(profile, float(params["duration"]))
     base = braid_trace.base_tuple(n_points)
     if params["x"] is not None:
         coords = [complex(float(re), float(im)) for re, im in params["x"]]
@@ -452,8 +468,9 @@ def cmd_coarea_check(params: dict, out: Path) -> int:
         t_choices = params["t_choices"]
         duration = float(t_choices[k % len(t_choices)])
         x = _disc_conditioned_tuple(rng, n_points, 0.95 * plateau)
-        loop = braid_trace.build_loop(_flow(profile, duration), x,
-                                      braid_trace.base_tuple(n_points))
+        loop = braid_trace.build_loop(
+            flow_engine.single_flow(profile, duration), x,
+            braid_trace.base_tuple(n_points))
         for i in range(n_points):
             for j in range(i + 1, n_points):
                 # alignment with the ray omega happens once per full turn
@@ -507,7 +524,8 @@ def cmd_lp_length(params: dict, out: Path) -> int:
             and p == 2.0):
         rate = abs(weight * float(desc["value"]))
         closed_form = rate * 2.0 * math.pi * math.sqrt(math.pi / 3.0)
-        closed_ok = abs(per_t[0] - closed_form) <= 1e-6 * closed_form
+        closed_ok = (abs(per_t[0] - closed_form)
+                     <= float(params["tolerance_rel"]) * closed_form)
     verdict = scaling_ok and closed_ok
     write_csv(out / "lp-length.csv", ["t", "p", "length", "length_per_t"],
               rows)
@@ -530,8 +548,8 @@ def cmd_phi_estimate(params: dict, out: Path) -> int:
                                       qm.depth, homogenize=True)
     with _refusal_is_config_error(qm_estimator.EstimatorArgumentError):
         est = qm_estimator.phi_estimate(
-            _flow(profile, params["duration"]), n_points, qm,
-            params["samples"], params["seed"],
+            flow_engine.single_flow(profile, float(params["duration"])),
+            n_points, qm, params["samples"], params["seed"],
             convention=_convention(params["measure"]))
     write_csv(out / "phi-estimate.csv",
               ["n_points", "duration", "samples", "value", "stderr",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .braid_algebra import QmOnBraids, evaluate_word
+from .braid_algebra import QmOnBraids, evaluate_word, evaluate_words
 from .braid_trace import (
     ConfigTuple,
     TraceRejection,
@@ -98,6 +98,7 @@ def _draw_values(specs, n_points, qm, samples, seed, base, omega, ceiling):
 
     Each sample is traced once for all specs (see trace_words): they share
     the inbound path, and specs that differ only in duration share the flow.
+    Their words then share one signature stream up to where they part.
     """
     values = np.empty((samples, len(specs)))
     rejected = 0
@@ -107,7 +108,7 @@ def _draw_values(specs, n_points, qm, samples, seed, base, omega, ceiling):
             try:
                 x = random_tuple(rng, n_points)
                 words = trace_words(specs, x, base, omega)
-                row = [evaluate_word(word, qm) for word in words]
+                row = evaluate_words(words, qm)
             except TraceRejection:
                 rejected += 1
                 continue

@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidflow import braid_algebra
 from braidflow.braid_algebra import (
     BraidWord,
+    QmOnBraids,
     UncalibratedRatioError,
     calibrate_ratio,
     defect_estimate,
     evaluate_word,
+    evaluate_words,
     free_reduce,
     full_twist,
     homogenized_signature,
@@ -26,6 +29,7 @@ from braidflow.braid_algebra import (
     seifert_matrix,
     signature,
     signature_of_form,
+    signatures,
     writhe,
 )
 from oracles import (dense_signature, float_signature, s_ratio,
@@ -200,8 +204,9 @@ def test_seifert_matrix_is_the_column_order_matrix_in_band_order(word):
         == dense_signature(by_column + by_column.T)
 
 
-def test_calibrated_ratios_are_exact():
-    for n in range(2, 6):
+def test_calibrated_ratios_are_exact(monkeypatch):
+    monkeypatch.setattr(braid_algebra, "_RATIO_CACHE", {})
+    for n in range(2, 9):
         assert calibrate_ratio(n) == s_ratio(n)
     assert calibrate_ratio(2) == Fraction(-1)
     assert calibrate_ratio(3) == Fraction(-2, 3)
@@ -306,3 +311,120 @@ def test_random_word_respects_bounds():
         assert w.n_strands == 4
         assert len(w.letters) == 15
         assert all(1 <= abs(l) <= 3 for l in w.letters)
+
+
+def reference_signature(word):
+    """The built route: band-order Seifert form, banded Bareiss."""
+    V = seifert_matrix(word)
+    return signature_of_form(V + V.T)
+
+
+@st.composite
+def stream_words(draw, max_len=30):
+    """Words on 2..6 strands for the signature stream: some leave a column
+    empty (a split closure), and inserted pairs g, -g and mixed signs give
+    zero pivots, repairs and radical loops."""
+    n = draw(st.integers(2, 6))
+    columns = list(range(1, n))
+    if n > 2 and draw(st.booleans()):
+        columns.remove(draw(st.sampled_from(columns)))
+    letters = st.builds(lambda c, s: c * s, st.sampled_from(columns),
+                        st.sampled_from([-1, 1]))
+    word = draw(st.lists(letters, max_size=max_len))
+    for pos, g in draw(st.lists(st.tuples(st.integers(0, max_len), letters),
+                                max_size=4)):
+        pos = min(pos, len(word))
+        word[pos:pos] = [g, -g]
+    return BraidWord(tuple(word), n)
+
+
+@given(stream_words())
+@settings(max_examples=400, deadline=None)
+def test_streamed_signature_matches_the_built_form(word):
+    V = seifert_matrix(word)
+    sig = signatures([word])[0]
+    assert sig == signature_of_form(V + V.T) == dense_signature(V + V.T)
+    # V has entries in {-1, 0, 1} and at most a few dozen rows
+    assert sig == float_signature(V)
+
+
+@pytest.mark.parametrize("letters, n", [
+    ((-1, 1), 2),            # a zero pivot deferred to the end: a radical
+    ((1, -1, 1), 2),         # a zero pivot repaired with a deferred loop,
+                             # which the elimination then frees
+    ((1, 2, -2, 1), 3),      # a radical between cancelling bands
+    ((-2, -1, 2, 1, -2), 3),  # signature 1; deferring, not repairing, reads 0
+])
+def test_streamed_signature_on_zero_pivots_and_radicals(letters, n):
+    word = BraidWord(letters, n)
+    assert signature(word) == reference_signature(word)
+
+
+def test_streamed_full_twist_powers_match_torus_counting():
+    for n in range(2, 7):
+        powers = [full_twist(n).power(k) for k in range(1, 5)]
+        assert signatures(powers) == [torus_link_signature(n, n * k)
+                                      for k in range(1, 5)]
+
+
+@st.composite
+def word_families(draw):
+    """A word and words that leave it at cuts 0..len, with tails that may be
+    empty, repeats, prefixes of each other, and unrelated words."""
+    base = draw(stream_words())
+    n = base.n_strands
+    letter = st.integers(-(n - 1), n - 1).filter(bool)
+    cut = st.integers(0, len(base))
+    tails = st.lists(letter, max_size=12).map(tuple)
+    family = [base,
+              BraidWord(draw(tails), n),  # leaves at 0
+              BraidWord(base.letters + draw(tails), n)]  # leaves at the end
+    for c, tail in draw(st.lists(st.tuples(cut, tails), max_size=5)):
+        family.append(BraidWord(base.letters[:c] + tail, n))
+    family += draw(st.lists(st.sampled_from(family), max_size=2))  # repeats
+    return draw(st.permutations(family))
+
+
+@given(word_families())
+@settings(max_examples=250, deadline=None)
+def test_signatures_of_words_sharing_prefixes(family):
+    assert signatures(family) == [reference_signature(w) for w in family]
+
+
+def test_signatures_edge_cases():
+    word = BraidWord((1, 2, 2, 1, -2, 1, 1), 3)
+    prefixes = [BraidWord(word.letters[:k], 3) for k in range(len(word) + 1)]
+    assert signatures(prefixes) == [reference_signature(w) for w in prefixes]
+    assert signatures([word, word]) == [signature(word)] * 2
+    assert signatures([]) == []
+    assert signatures([BraidWord((), 1)]) == [0]
+    # no common prefix at all
+    other = BraidWord((-2, -1, -1, -2), 3)
+    assert signatures([word, other]) == [reference_signature(word),
+                                         reference_signature(other)]
+
+
+@pytest.mark.parametrize("qm", [
+    qm_for_strands(4, "raw-signature"),
+    qm_for_strands(4, "s-combination"),
+    QmOnBraids("s-combination", Fraction(-2, 3), 4, 3, homogenize=True),
+])
+def test_evaluate_words_is_evaluate_word_of_each(qm):
+    rng = np.random.default_rng(8)
+    base = random_word(rng, 4, 30).letters
+    ws = [BraidWord(base[:k] + random_word(rng, 4, 5).letters, 4)
+          for k in (0, 7, 18, 30)] + [BraidWord(base, 4), BraidWord((), 4)]
+    values = evaluate_words(ws, qm)
+    assert values == [evaluate_word(w, qm) for w in ws]
+    if not qm.homogenize:
+        ratio = qm.ratio or 0
+        assert values == [float(Fraction(reference_signature(w))
+                                - ratio * writhe(w)) for w in ws]
+
+
+@given(stream_words(max_len=12), st.integers(2, 5))
+@settings(max_examples=60, deadline=None)
+def test_homogenized_signature_reads_each_power(word, depth):
+    hom = homogenized_signature(word, depth)
+    assert hom.sequence == tuple(
+        (k, reference_signature(word.power(k)) / k) for k in range(1, depth + 1))

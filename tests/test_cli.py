@@ -139,6 +139,18 @@ def test_lp_length_bad_exponent_or_duration_is_a_config_error(tmp_path):
     assert code == 4
 
 
+def test_lp_length_reads_its_tolerance(tmp_path):
+    # the quadrature is within 1e-15 of the closed form, not exactly on it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tolerance_rel": 1e-300}))
+    code, out = run(tmp_path, "a", "lp-length", "--config", str(cfg))
+    assert code == 2
+    assert load(out, "lp-length")["checks"]["closed_form"] is False
+    code, out = run(tmp_path, "b", "lp-length")
+    assert code == 0
+    assert load(out, "lp-length")["checks"]["closed_form"] is True
+
+
 def test_unknown_flag_is_rejected(tmp_path):
     code, _ = run(tmp_path, "a", "lp-length", "--bogus")
     assert code == 4
@@ -179,6 +191,25 @@ def test_seed_flag_reaches_report(tmp_path):
     ("coarea-check", {"t_choices": []}, []),
     ("lp-length", {"t_list": []}, []),
     ("lp-length", {"t_list": "abc"}, []),
+    ("embed-demo", {"ramp": 0}, []),
+    ("embed-demo", {"ramp": -1}, []),
+    ("embed-demo", {"ramp": 0.3}, []),  # too wide for the d = 2 annuli
+    ("embed-demo", {"v_scale": "x"}, []),
+    ("embed-demo", {"height": math.nan}, []),
+    ("embed-demo", {"ratio_spread_max": "x"}, []),
+    ("embed-demo", {"n_vectors": 0}, []),  # a FAIL over no vectors
+    ("lp-length", {"weight": "a"}, []),
+    ("lp-length", {"tolerance_rel": math.nan}, []),
+    ("lp-length", {"tolerance_rel": 0.0}, []),
+    ("braid-of-flow", {"duration": math.inf}, []),
+    ("braid-of-flow", {"x": [1, 2]}, []),
+    ("braid-of-flow", {"x": "abc"}, []),
+    ("phi-estimate", {"duration": math.inf}, []),
+    ("phi-estimate", {"homogenize": 3}, []),
+    ("gg-check", {"mismatch_n": 1}, []),
+    ("gg-check", {"tolerance_rel": "x"}, []),
+    ("coarea-check", {"tolerance_rel": -1.0}, []),
+    ("psi-bound", {"tail_a": "x"}, []),
 ])
 def test_bad_input_is_a_one_line_config_error(tmp_path, capsys, command,
                                               config, flags):

@@ -167,3 +167,46 @@ def test_durations_are_checked_before_any_draw(t_list, monkeypatch):
     with pytest.raises(ValueError, match="durations"):
         phi_bar_estimate(step_spec(1.0), t_list, n_points=4, qm=s_qm(4),
                          samples=10, seed=0)
+
+
+def _estimator_spec_lists():
+    from braidflow.flow_engine import FlowSpec, annulus_profile, compose_specs
+
+    step = step_spec(1.0)
+    outer = single_flow(annulus_profile(-0.7, 0.9, 1.5), 2.0)
+    return {
+        "phi_estimate": [step_spec(2.0)],
+        "phi_bar_estimate": [FlowSpec(step.components, float(t))
+                             for t in range(1, 9)],
+        "qm_property_monitor": [compose_specs(step_spec(2.0), outer),
+                                step_spec(2.0), outer],
+    }
+
+
+@pytest.mark.parametrize("shape", ["phi_estimate", "phi_bar_estimate",
+                                   "qm_property_monitor"])
+def test_signature_stream_on_the_words_each_estimator_traces(shape):
+    # the words of one sample share prefixes as the estimators pass them;
+    # the stream must give each word the signature of its own built form
+    from braidflow.braid_algebra import (evaluate_word, evaluate_words,
+                                         seifert_matrix, signature_of_form,
+                                         signatures)
+    from braidflow.braid_trace import base_tuple, random_tuple, trace_words
+
+    specs = _estimator_spec_lists()[shape]
+    base = base_tuple(4)
+    rng = np.random.default_rng(17)
+    traced = 0
+    while traced < 6:
+        try:
+            words = trace_words(specs, random_tuple(rng, 4), base)
+        except TraceRejection:
+            continue
+        traced += 1
+        built = []
+        for word in words:
+            V = seifert_matrix(word)
+            built.append(signature_of_form(V + V.T))
+        assert signatures(words) == built
+        assert evaluate_words(words, s_qm(4)) == [
+            evaluate_word(word, s_qm(4)) for word in words]
