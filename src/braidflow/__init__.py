@@ -11,7 +11,6 @@ functionals with two-sided metric bounds.
 from .chart_geometry import (
     PROBABILITY,
     ROUND_2PI,
-    AntipodalError,
     AtInfinityError,
     ChartPoint,
     MeasureConvention,
@@ -20,7 +19,6 @@ from .chart_geometry import (
     height_coordinate,
     measure_density,
     radius_from_height,
-    sample_uniform,
     sphere_to_chart,
 )
 from .flow_engine import (
@@ -30,7 +28,6 @@ from .flow_engine import (
     annulus_profile,
     compose_specs,
     constant_profile,
-    flow_map,
     lp_length,
     power,
     profile_from_json,
@@ -49,13 +46,12 @@ from .braid_trace import (
     TraceRejection,
     base_tuple,
     build_loop,
-    crossing_count,
     crossing_counts,
     extract_braid,
     random_tuple,
     short_path,
     total_angular_variation,
-    trace_to_csv,
+    trace_rows,
     tuple_from_coords,
     winding,
 )
@@ -69,7 +65,6 @@ from .braid_algebra import (
     full_twist,
     homogenized_signature,
     qm_for_strands,
-    raw_combination,
     s_value,
     seifert_matrix,
     signature,

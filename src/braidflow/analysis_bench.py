@@ -98,24 +98,24 @@ def psi0(a: complex, tol: float = 1e-6) -> float:
     return total
 
 
-def psi0_bound_scan(grid, tol: float = 1e-6) -> tuple[float, float]:
+def psi0_bound_scan(grid, tol: float = 1e-6):
     """Empirical sup of psi0(a) * sqrt(1 + |a|^2) over a grid of radii.
 
     The sup certifies the uniform kernel bound; doubling it covers the
     rescaled kernel with the (1 + |a|^2) prefactor, whose bound grows like
-    sqrt(1 + |a|^2) instead of decaying.
+    sqrt(1 + |a|^2) instead of decaying.  Returns (sup, the first radius
+    attaining it, the (a, psi0(a), ratio) row of every radius); psi0 is
+    evaluated once per radius.
     """
     radii = [float(x) for x in grid]
     if not radii:
         raise ValueError("grid must be nonempty")
-    best = -math.inf
-    best_a = radii[0]
+    rows = []
     for a in radii:
-        ratio = psi0(a, tol) * math.sqrt(1.0 + a * a)
-        if ratio > best:
-            best = ratio
-            best_a = a
-    return best, best_a
+        value = psi0(a, tol)
+        rows.append((a, value, value * math.sqrt(1.0 + a * a)))
+    best = max(rows, key=lambda row: row[2])
+    return best[2], best[0], rows
 
 
 @dataclass(frozen=True)
@@ -199,8 +199,15 @@ def sign_matrix(profiles) -> EmbeddingReport:
 
 
 def component_lengths(profiles, p: float) -> tuple[float, ...]:
-    """Path length of each unit-weight, unit-duration component flow."""
-    return tuple(lp_length(single_flow(prof), p) for prof in profiles)
+    """Path length of each unit-weight, unit-duration component flow.
+
+    SingularMatrixError if one is 0 (a rate so small that its p-th power
+    underflows): the lower bound divides by the shortest.
+    """
+    lengths = tuple(lp_length(single_flow(prof), p) for prof in profiles)
+    if 0.0 in lengths:
+        raise SingularMatrixError("a component flow has zero length")
+    return lengths
 
 
 def embedding_bounds(profiles, v, p: float, lengths=None,
@@ -236,7 +243,8 @@ def evaluate_embedding(profiles, vs, p: float) -> EmbeddingReport:
     ratios = []
     for v in vs:
         lower, upper = embedding_bounds(profiles, v, p, lengths, a_hat)
-        if lower > upper:
+        # at d = 1 the bounds are equal, up to rounding
+        if lower > upper * (1.0 + 1e-12):
             raise AssertionError("lower bound exceeded upper bound")
         rows.append((tuple(float(x) for x in v), lower, upper))
         if lower > 0.0:

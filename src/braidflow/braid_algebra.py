@@ -499,12 +499,6 @@ def qm_for_strands(n: int, kind: str = "s-combination", depth: int = 4) -> QmOnB
     return QmOnBraids(kind=kind, ratio=ratio, n_strands=n, depth=depth)
 
 
-def raw_combination(word: BraidWord, qm: QmOnBraids) -> Fraction:
-    """signature - ratio * writhe without homogenization (fast MC path)."""
-    ratio = qm._checked_ratio(word)
-    return Fraction(signature(word)) - ratio * writhe(word)
-
-
 def s_value(word: BraidWord, qm: QmOnBraids) -> float:
     """Homogenized signature minus ratio * writhe (writhe is homogeneous)."""
     ratio = qm._checked_ratio(word)
@@ -549,10 +543,3 @@ def defect_estimate(n_strands: int, sampler, trials: int,
         d = abs(float(value_fn(x * y)) - float(value_fn(x)) - float(value_fn(y)))
         worst = max(worst, d)
     return worst
-
-
-def length_sampler(max_letters: int):
-    """Sampler factory for defect_estimate: uniform length up to max_letters."""
-    def sample(rng: np.random.Generator, n_strands: int) -> BraidWord:
-        return random_word(rng, n_strands, int(rng.integers(1, max_letters + 1)))
-    return sample

@@ -22,14 +22,13 @@ part once per projection direction.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chart_geometry import ChartPoint
+from .chart_geometry import ChartPoint, sample_uniform_complex
 from .flow_engine import FlowSpec
 
 DEFAULT_SEPARATION = 1e-9
@@ -100,10 +99,7 @@ def base_tuple(n: int, eps: float = 0.1) -> ConfigTuple:
 
 def random_tuple(rng: np.random.Generator, n: int) -> ConfigTuple:
     """One draw of n independent round-measure points; may raise SeparationError."""
-    a = rng.random(n)
-    r = np.sqrt(a / (1.0 - a))
-    theta = rng.random(n) * 2.0 * math.pi
-    return tuple_from_coords(r * np.exp(1j * theta))
+    return tuple_from_coords(sample_uniform_complex(rng, n))
 
 
 @dataclass
@@ -246,6 +242,7 @@ def _flow_segment(spec: FlowSpec, zx: np.ndarray, durations: np.ndarray,
     """
     rates = np.atleast_1d(spec.angular_rate(np.abs(zx)))
     spread = float(np.max(rates) - np.min(rates)) if len(zx) > 1 else 0.0
+    fastest = float(np.max(np.abs(rates))) if len(zx) > 1 else 0.0
 
     def evaluate(ts):
         # same arithmetic as flow_engine.trajectory, one row per time
@@ -253,11 +250,19 @@ def _flow_segment(spec: FlowSpec, zx: np.ndarray, durations: np.ndarray,
 
     t_max = float(durations[-1])
     steps = 4.0 * spread * t_max
-    if steps + 1 > REFINE_CAP:
+    # A pair vector turns with its outer point, plus a term that stays within
+    # a half turn, so the spread alone misses a rigid rotation, whose pairs
+    # could turn whole turns per edge unseen.  Halving the 16 edges until no
+    # point turns 0.4 turn per edge keeps every edge's pair turn from within
+    # pi/8 of a whole turn, and keeps the grids nested.
+    edges = 16
+    while edges < min(2.5 * fastest * t_max, REFINE_CAP):
+        edges *= 2
+    if max(steps, edges) + 1 > REFINE_CAP:
         # refused before the initial grid is allocated
         raise RefinementError(
             f"flow segment needs more than {REFINE_CAP} samples")
-    n_init = max(17, int(math.ceil(steps)) + 1)
+    n_init = max(edges + 1, int(math.ceil(steps)) + 1)
     times = np.union1d(np.linspace(0.0, t_max, n_init), durations)
     seg = _refine(evaluate, times, max_step, len(zx))
     _check_separation(seg.points, delta_sep)
@@ -341,15 +346,12 @@ def total_angular_variation(loop: LoopTrace, i: int, j: int) -> float:
     return float(np.sum(np.abs(np.diff(psi)))) / (2.0 * math.pi)
 
 
-def crossing_count(loop: LoopTrace, i: int, j: int, omega: complex) -> int:
-    """Number of loop times where (z_i - z_j)/|z_i - z_j| equals omega."""
-    counts = crossing_counts(loop, i, j, np.array([omega], dtype=complex))
-    return int(counts[0])
-
-
 def crossing_counts(loop: LoopTrace, i: int, j: int,
                     omegas: np.ndarray) -> np.ndarray:
-    """crossing_count for many directions at once (one pass over the edges)."""
+    """Number of loop times where (z_i - z_j)/|z_i - z_j| equals each omega.
+
+    One pass over the edges for all directions at once.
+    """
     psi = loop.pair_angles(i, j)
     chi = np.angle(omegas)
     lo = np.floor((psi[:-1, None] - chi[None, :]) / (2.0 * math.pi))
@@ -488,12 +490,9 @@ def _word_from_events(order: list[int], strands, edge, frac, pair, sign):
     return word
 
 
-def trace_to_csv(loop: LoopTrace, fileobj) -> None:
-    """Dump the loop samples as (segment, t, strand, re, im) rows."""
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(["segment", "t", "strand", "re", "im"])
-    for seg in loop.segments:
-        for t, row in zip(seg.times, seg.points):
-            for strand, val in enumerate(row):
-                writer.writerow([seg.kind, repr(float(t)), strand,
-                                 repr(float(val.real)), repr(float(val.imag))])
+def trace_rows(loop: LoopTrace) -> list[tuple]:
+    """The loop samples as (segment, t, strand, re, im) rows."""
+    return [(seg.kind, float(t), strand, float(z.real), float(z.imag))
+            for seg in loop.segments
+            for t, row in zip(seg.times, seg.points)
+            for strand, z in enumerate(row)]

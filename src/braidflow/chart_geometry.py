@@ -24,10 +24,6 @@ class AtInfinityError(ValueError):
     """Operation asked to evaluate a chart quantity at the infinity point."""
 
 
-class AntipodalError(ValueError):
-    """Geodesic endpoints are antipodal; the minimal arc is not unique."""
-
-
 @dataclass(frozen=True)
 class ChartPoint:
     """Point of the sphere: a chart coordinate or the infinity point."""
@@ -95,11 +91,6 @@ def radius_from_height(u):
     return float(out) if np.isscalar(u) else out
 
 
-def sample_uniform(rng: np.random.Generator) -> ChartPoint:
-    """Draw one point distributed by the round probability measure."""
-    return ChartPoint(complex(sample_uniform_complex(rng, 1)[0]))
-
-
 def sample_uniform_complex(rng: np.random.Generator, size: int) -> np.ndarray:
     # disc_area(|z|) is uniform on [0, 1); invert it on a uniform draw.
     a = rng.random(size)
@@ -124,29 +115,6 @@ def sphere_to_chart(p: np.ndarray) -> ChartPoint:
     if denom <= 1e-14:
         return INFINITY
     return ChartPoint(complex(x / denom, y / denom))
-
-
-def antipode(z: ChartPoint) -> ChartPoint:
-    if z.at_infinity:
-        return ChartPoint(0j)
-    if z.coord == 0:
-        return INFINITY
-    return ChartPoint(-1.0 / z.coord.conjugate())
-
-
-def geodesic_path(x: ChartPoint, y: ChartPoint, t: float) -> ChartPoint:
-    """Point at parameter t in [0, 1] on the minimal great-circle arc x -> y."""
-    px, py = chart_to_sphere(x), chart_to_sphere(y)
-    dot = float(np.clip(np.dot(px, py), -1.0, 1.0))
-    if dot <= -1.0 + 1e-12:
-        raise AntipodalError("endpoints are antipodal; minimal arc undefined")
-    ang = math.acos(dot)
-    if ang < 1e-15:
-        return x
-    s = math.sin(ang)
-    p = (math.sin((1.0 - t) * ang) * px + math.sin(t * ang) * py) / s
-    p /= np.linalg.norm(p)
-    return sphere_to_chart(p)
 
 
 def chart_distance(x: ChartPoint | complex, y: ChartPoint | complex) -> float:

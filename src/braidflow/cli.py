@@ -1,17 +1,20 @@
 """Command line entry points with reproducible CSV/JSON artifacts.
 
 Every subcommand reads its parameters from built-in defaults, an optional
-JSON config file, and flag overrides, in that order.  The resolved
+JSON config file, and flag overrides, in that order, and `resolve_params`
+checks them all before the command runs.  A command returns an `Outcome`;
+`main` writes it as <command>.csv and <command>.json.  The resolved
 parameters are hashed (sha256 of canonical JSON) and the hash is embedded in
 every output, so identical configs are recognizable and identical runs are
-byte-identical.  Exit codes: 0 pass, 2 numerical tolerance failure,
-3 degeneracy or rejection budget exceeded, 4 invalid config.
+byte-identical.  Exit codes: 0 pass, 2 FAIL verdict or numerical failure,
+3 degeneracy or rejection budget exceeded, 4 invalid config; every nonzero
+exit but a FAIL verdict writes one line to stderr and no artifact.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
+import collections
 import hashlib
 import json
 import math
@@ -110,11 +113,24 @@ DEFAULTS = {
 _FLAG_KEYS = {"seed": "seed", "samples": "samples", "p": "p",
               "measure": "measure"}
 
+_CONVENTIONS = {"prob": PROBABILITY, "2pi": ROUND_2PI}
+
+
+def _durations(v) -> bool:
+    return (isinstance(v, list) and len(v) > 0
+            and all(0.0 < float(t) < math.inf for t in v))
+
+
 _KIND = (lambda v: v in braid_algebra.QM_KINDS,
          f"one of {', '.join(braid_algebra.QM_KINDS)}")
-_DURATIONS = (lambda v: len(v) > 0 and all(0.0 < float(t) < math.inf
-                                            for t in v),
-              "a nonempty list of positive finite durations")
+_MEASURE = (lambda v: v in _CONVENTIONS, f"one of {', '.join(_CONVENTIONS)}")
+_SAMPLES = (lambda v: v >= 2, ">= 2")
+_DURATIONS = (_durations, "a nonempty list of positive finite durations")
+# a least-squares slope and its residual need three durations
+_SLOPE_DURATIONS = (lambda v: _durations(v) and len(v) >= 3 and all(
+                        float(a) < float(b) for a, b in zip(v, v[1:])),
+                    "at least 3 strictly increasing positive finite "
+                    "durations")
 _EXPONENT = (lambda v: float(v) >= 1.0, ">= 1")
 _POSITIVE = (lambda v: 0.0 < float(v) < math.inf, "positive and finite")
 _FINITE = (lambda v: math.isfinite(float(v)), "a finite number")
@@ -124,15 +140,19 @@ _POINTS = (lambda v: v is None or (isinstance(v, list) and all(
            "null or a list of [re, im] pairs of finite numbers")
 
 # Values refused before a command runs: key -> (test, what it must be).  A
-# test may raise TypeError or ValueError on a value of the wrong type.
+# test may raise TypeError, ValueError or OverflowError on a value of the
+# wrong type.
 _RANGES = {
     "gg-check": {
         "n_points": (lambda v: v >= 4 and v % 2 == 0, "an even number >= 4"),
+        "samples": _SAMPLES,
+        "t_list": _SLOPE_DURATIONS,
+        "measure": _MEASURE,
         "kind": _KIND,
         "tolerance_rel": _POSITIVE,
     },
     "psi-bound": {
-        "a_max": (lambda v: float(v) > 1.0, "> 1"),
+        "a_max": (lambda v: 1.0 < float(v) < math.inf, "> 1 and finite"),
         "n_grid": (lambda v: v >= 3, ">= 3"),
         "tol": (lambda v: float(v) > 0.0, "> 0"),
         "tail_a": _POSITIVE,
@@ -168,6 +188,8 @@ _RANGES = {
     "phi-estimate": {
         "duration": _POSITIVE,
         "n_points": (lambda v: v >= 2, ">= 2"),
+        "samples": _SAMPLES,
+        "measure": _MEASURE,
         "kind": _KIND,
     },
 }
@@ -229,40 +251,23 @@ def resolve_params(command: str, args) -> dict:
     for key, (test, want) in _RANGES.get(command, {}).items():
         try:
             ok = test(params[key])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             ok = False
         if not ok:
             raise ConfigError(f"{key} must be {want}, not {params[key]!r}")
     return params
 
 
-@contextlib.contextmanager
-def _refusal_is_config_error(kind=ValueError):
-    """Report a `kind` error raised on the parameters as a config error."""
-    try:
-        yield
-    except kind as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _resolve_profile(desc) -> flow_engine.RadialProfile:
     if not isinstance(desc, dict):
         raise ConfigError("profile must be a JSON object")
     desc = dict(desc)
-    if desc.get("type") == "step" and "u0" in desc:
-        u0 = float(desc.pop("u0"))
-        desc.setdefault("r0", radius_from_height(u0))
     try:
+        if desc.get("type") == "step" and "u0" in desc:
+            desc.setdefault("r0", radius_from_height(float(desc.pop("u0"))))
         return flow_engine.profile_from_json(desc)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad profile: {exc}") from exc
-
-
-def _convention(name: str):
-    try:
-        return {"prob": PROBABILITY, "2pi": ROUND_2PI}[name]
-    except KeyError:
-        raise ConfigError(f"unknown measure convention {name!r}") from None
 
 
 def _fmt(value) -> str:
@@ -288,87 +293,80 @@ def write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _report(command: str, params: dict, results: dict,
-            verdict: bool | None) -> dict:
+# What a command found: its CSV header and rows, its JSON result fields, its
+# verdict (None when it checks nothing and always exits 0) and its summary.
+# A namedtuple, because it is built at import, about 10x faster than a
+# frozen dataclass.
+Outcome = collections.namedtuple(
+    "Outcome", ["header", "rows", "results", "verdict", "summary"])
+
+
+def _report(command: str, params: dict, outcome: Outcome) -> dict:
     payload = {
         "command": command,
         "version": ARTIFACT_VERSION,
         "config": params,
         "config_hash": config_hash(params),
         "seed": params.get("seed"),
-        "verdict": (None if verdict is None else
-                    ("PASS" if verdict else "FAIL")),
+        "verdict": (None if outcome.verdict is None else
+                    ("PASS" if outcome.verdict else "FAIL")),
     }
-    payload.update(results)
+    payload.update(outcome.results)
     return payload
 
 
-def cmd_gg_check(params: dict, out: Path) -> int:
+def cmd_gg_check(params: dict) -> Outcome:
     profile = _resolve_profile(params["profile"])
     n_points = params["n_points"]
     n_formula = n_points // 2 + (1 if params["mismatch_n"] else 0)
     gg = analysis_bench.gg_rhs(profile, n_formula)
     qm = braid_algebra.qm_for_strands(n_points, params["kind"])
-    with _refusal_is_config_error(qm_estimator.EstimatorArgumentError):
-        bar = qm_estimator.phi_bar_estimate(
-            flow_engine.single_flow(profile),
-            [float(t) for t in params["t_list"]], n_points, qm,
-            params["samples"], params["seed"],
-            convention=_convention(params["measure"]))
+    bar = qm_estimator.phi_bar_estimate(
+        flow_engine.single_flow(profile),
+        [float(t) for t in params["t_list"]], n_points, qm,
+        params["samples"], params["seed"],
+        convention=_CONVENTIONS[params["measure"]])
     tol = max(3.0 * bar.stderr, float(params["tolerance_rel"]) * abs(gg))
-    verdict = abs(bar.value - gg) <= tol
-    write_csv(out / "gg-check.csv", ["t", "mean", "stderr"], bar.per_t)
-    write_json(out / "gg-check.json", _report("gg-check", params, {
+    return Outcome(["t", "mean", "stderr"], bar.per_t, {
         "quadrature_value": gg,
         "mc_slope": bar.value,
         "mc_stderr": bar.stderr,
         "tolerance": tol,
         "rejected": bar.rejected,
         "linearity_warning": bar.linearity_warning,
-    }, verdict))
-    print(f"gg-check: quadrature {gg:.6f}  mc {bar.value:.6f} "
-          f"+/- {bar.stderr:.6f}  {'PASS' if verdict else 'FAIL'}")
-    return EXIT_OK if verdict else EXIT_TOLERANCE
+    }, abs(bar.value - gg) <= tol,
+        f"quadrature {gg:.6f}  mc {bar.value:.6f} +/- {bar.stderr:.6f}")
 
 
-def cmd_psi_bound(params: dict, out: Path) -> int:
+def cmd_psi_bound(params: dict) -> Outcome:
     a_max = float(params["a_max"])
-    n_grid = params["n_grid"]
-    tol = float(params["tol"])
     tail_a = float(params["tail_a"])
     grid = sorted({0.0, 1.0, tail_a, a_max}
-                  | set(np.geomspace(0.1, a_max, n_grid).tolist()))
-    rows = []
-    for a in grid:
-        value = analysis_bench.psi0(a, tol)
-        rows.append((a, value, value * math.sqrt(1.0 + a * a)))
-    c_star = max(r[2] for r in rows)
-    arg = max(rows, key=lambda r: r[2])[0]
+                  | set(np.geomspace(0.1, a_max, params["n_grid"]).tolist()))
+    c_star, arg, rows = analysis_bench.psi0_bound_scan(grid,
+                                                       float(params["tol"]))
     at_zero = rows[0][1]
-    tail_val = next(r[1] for r in rows if r[0] == tail_a)
+    tail_val = next(value for a, value, _ in rows if a == tail_a)
     zero_ok = abs(at_zero - math.pi ** 2 / 2) <= 1e-3 * math.pi ** 2 / 2
     tail_ok = abs(tail_val * tail_a - math.pi) <= 0.02 * math.pi
     finite = all(math.isfinite(r[2]) for r in rows)
-    verdict = zero_ok and tail_ok and finite
-    write_csv(out / "psi-bound.csv", ["a", "psi0", "ratio"], rows)
-    write_json(out / "psi-bound.json", _report("psi-bound", params, {
+    return Outcome(["a", "psi0", "ratio"], rows, {
         "c_star": c_star,
         "argmax_a": arg,
         "full_bound_constant": 2.0 * c_star,
         "value_at_zero": at_zero,
         "tail_value_scaled": tail_val * tail_a,
         "checks": {"zero": zero_ok, "tail": tail_ok, "finite": finite},
-    }, verdict))
-    print(f"psi-bound: C* {c_star:.6f} at |a|={arg:g}  "
-          f"{'PASS' if verdict else 'FAIL'}")
-    return EXIT_OK if verdict else EXIT_TOLERANCE
+    }, zero_ok and tail_ok and finite, f"C* {c_star:.6f} at |a|={arg:g}")
 
 
-def cmd_embed_demo(params: dict, out: Path) -> int:
+def cmd_embed_demo(params: dict) -> Outcome:
     d = params["d"]
-    with _refusal_is_config_error():  # a ramp too wide for d annuli
+    try:
         profiles = analysis_bench.default_embedding_profiles(
             d, float(params["height"]), float(params["ramp"]))
+    except ValueError as exc:  # a ramp too wide for d annuli
+        raise ConfigError(str(exc)) from exc
     rng = np.random.default_rng(
         np.random.SeedSequence((params["seed"], 0xE3BED)))
     vs = rng.uniform(-float(params["v_scale"]), float(params["v_scale"]),
@@ -382,8 +380,7 @@ def cmd_embed_demo(params: dict, out: Path) -> int:
     header = [f"v{i + 1}" for i in range(d)] + ["lower", "upper", "ratio"]
     rows = [list(v) + [lo, up, (up / lo if lo else math.nan)]
             for v, lo, up in report.bounds]
-    write_csv(out / "embed-demo.csv", header, rows)
-    write_json(out / "embed-demo.json", _report("embed-demo", params, {
+    return Outcome(header, rows, {
         "matrix": [list(r) for r in report.matrix],
         "det": report.det,
         "row_normalized_det": report.row_normalized_det,
@@ -395,13 +392,11 @@ def cmd_embed_demo(params: dict, out: Path) -> int:
         "ratio_max": report.ratio_max,
         "ratio_min": report.ratio_min,
         "ratio_spread": spread,
-    }, verdict))
-    print(f"embed-demo: |det_norm| {abs(report.row_normalized_det):.4f}  "
-          f"ratio spread {spread:.3f}  {'PASS' if verdict else 'FAIL'}")
-    return EXIT_OK if verdict else EXIT_TOLERANCE
+    }, verdict, f"|det_norm| {abs(report.row_normalized_det):.4f}  "
+                f"ratio spread {spread:.3f}")
 
 
-def cmd_braid_of_flow(params: dict, out: Path) -> int:
+def cmd_braid_of_flow(params: dict) -> Outcome:
     profile = _resolve_profile(params["profile"])
     n_points = params["n_points"]
     spec = flow_engine.single_flow(profile, float(params["duration"]))
@@ -415,7 +410,6 @@ def cmd_braid_of_flow(params: dict, out: Path) -> int:
     else:
         rng = np.random.default_rng(
             np.random.SeedSequence((params["seed"], 0xB4A1D)))
-        loop = None
         for _ in range(100):
             try:
                 x = braid_trace.random_tuple(rng, n_points)
@@ -423,23 +417,19 @@ def cmd_braid_of_flow(params: dict, out: Path) -> int:
                 break
             except braid_trace.TraceRejection:
                 continue
-        if loop is None:
-            print("braid-of-flow: rejection budget exhausted", file=sys.stderr)
-            return EXIT_DEGENERACY
+        else:
+            raise qm_estimator.RejectionBudgetError(
+                "braid-of-flow rejected 100 draws")
     word = braid_trace.extract_braid(loop)
-    with open(out / "braid-of-flow.csv", "w", encoding="utf-8",
-              newline="\n") as fh:
-        braid_trace.trace_to_csv(loop, fh)
-    write_json(out / "braid-of-flow.json", _report("braid-of-flow", params, {
+    writhe = braid_algebra.writhe(word)
+    return Outcome(["segment", "t", "strand", "re", "im"],
+                   braid_trace.trace_rows(loop), {
         "word": word.to_text(),
         "n_letters": len(word.letters),
-        "writhe": braid_algebra.writhe(word),
+        "writhe": writhe,
         "permutation_identity": True,
         "x": [[z.real, z.imag] for z in x.coords()],
-    }, None))
-    print(f"braid-of-flow: word '{word.to_text()}'  "
-          f"writhe {braid_algebra.writhe(word)}")
-    return EXIT_OK
+    }, None, f"word '{word.to_text()}'  writhe {writhe}")
 
 
 def _disc_conditioned_tuple(rng: np.random.Generator, n: int,
@@ -455,13 +445,17 @@ def _disc_conditioned_tuple(rng: np.random.Generator, n: int,
     raise braid_trace.SeparationError("disc-conditioned sampling starved")
 
 
-def cmd_coarea_check(params: dict, out: Path) -> int:
+def cmd_coarea_check(params: dict) -> Outcome:
     profile = _resolve_profile(params["profile"])
+    knots = [r for r in profile.breakpoint_radii() if r > 0]
+    if not knots:
+        raise ConfigError("coarea-check needs a profile knot at a positive "
+                          "radius to bound its sampling disc")
+    plateau = min(knots)
     n_points = params["n_points"]
     tol = float(params["tolerance_rel"])
     rng = np.random.default_rng(
         np.random.SeedSequence((params["seed"], 0xC0A4EA)))
-    plateau = min(r for r in profile.breakpoint_radii() if r > 0)
     rows = []
     worst = 0.0
     for k in range(params["n_loops"]):
@@ -476,7 +470,6 @@ def cmd_coarea_check(params: dict, out: Path) -> int:
                 # alignment with the ray omega happens once per full turn
                 tav = braid_trace.total_angular_variation(loop, i, j)
                 expected = tav
-                counts = None
                 for _ in range(5):
                     try:
                         omegas = np.exp(2j * np.pi
@@ -486,26 +479,21 @@ def cmd_coarea_check(params: dict, out: Path) -> int:
                         break
                     except braid_trace.DegenerateDirectionError:
                         continue
-                if counts is None:
-                    return EXIT_DEGENERACY
+                else:
+                    raise braid_trace.DegenerateDirectionError(
+                        f"no generic directions for pair {i},{j} in 5 tries")
                 mean = float(np.mean(counts))
                 rel = abs(mean - expected) / expected
                 worst = max(worst, rel)
                 rows.append((k, duration, i, j, tav, expected, mean, rel))
-    verdict = worst <= tol
-    write_csv(out / "coarea-check.csv",
-              ["loop", "t", "i", "j", "tav_turns", "expected_crossings",
-               "mean_crossings", "rel_dev"], rows)
-    write_json(out / "coarea-check.json", _report("coarea-check", params, {
+    return Outcome(["loop", "t", "i", "j", "tav_turns", "expected_crossings",
+                    "mean_crossings", "rel_dev"], rows, {
         "worst_rel_dev": worst,
         "n_pairs": len(rows),
-    }, verdict))
-    print(f"coarea-check: worst relative deviation {worst:.4f}  "
-          f"{'PASS' if verdict else 'FAIL'}")
-    return EXIT_OK if verdict else EXIT_TOLERANCE
+    }, worst <= tol, f"worst relative deviation {worst:.4f}")
 
 
-def cmd_lp_length(params: dict, out: Path) -> int:
+def cmd_lp_length(params: dict) -> Outcome:
     profile = _resolve_profile(params["profile"])
     weight = float(params["weight"])
     p = float(params["p"])
@@ -517,53 +505,40 @@ def cmd_lp_length(params: dict, out: Path) -> int:
         rows.append((t, p, length, length / t))
     per_t = [r[3] for r in rows]
     scaling_ok = (max(per_t) - min(per_t)) <= 1e-9 * max(per_t)
-    desc = params["profile"]
     closed_form = None
     closed_ok = True
-    if (isinstance(desc, dict) and desc.get("type") == "constant"
-            and p == 2.0):
-        rate = abs(weight * float(desc["value"]))
+    if len(profile.knots) == 1 and p == 2.0:  # a rigid rotation
+        rate = abs(weight * profile.tail_value)
         closed_form = rate * 2.0 * math.pi * math.sqrt(math.pi / 3.0)
         closed_ok = (abs(per_t[0] - closed_form)
                      <= float(params["tolerance_rel"]) * closed_form)
-    verdict = scaling_ok and closed_ok
-    write_csv(out / "lp-length.csv", ["t", "p", "length", "length_per_t"],
-              rows)
-    write_json(out / "lp-length.json", _report("lp-length", params, {
+    return Outcome(["t", "p", "length", "length_per_t"], rows, {
         "lengths": [r[2] for r in rows],
         "closed_form": closed_form,
         "checks": {"scaling": scaling_ok, "closed_form": closed_ok},
-    }, verdict))
-    print(f"lp-length: L(1)={per_t[0]:.8f}  "
-          f"{'PASS' if verdict else 'FAIL'}")
-    return EXIT_OK if verdict else EXIT_TOLERANCE
+    }, scaling_ok and closed_ok, f"L(1)={per_t[0]:.8f}")
 
 
-def cmd_phi_estimate(params: dict, out: Path) -> int:
+def cmd_phi_estimate(params: dict) -> Outcome:
     profile = _resolve_profile(params["profile"])
     n_points = params["n_points"]
     qm = braid_algebra.qm_for_strands(n_points, params["kind"])
     if params["homogenize"]:
         qm = braid_algebra.QmOnBraids(qm.kind, qm.ratio, qm.n_strands,
                                       qm.depth, homogenize=True)
-    with _refusal_is_config_error(qm_estimator.EstimatorArgumentError):
-        est = qm_estimator.phi_estimate(
-            flow_engine.single_flow(profile, float(params["duration"])),
-            n_points, qm, params["samples"], params["seed"],
-            convention=_convention(params["measure"]))
-    write_csv(out / "phi-estimate.csv",
-              ["n_points", "duration", "samples", "value", "stderr",
-               "rejected"],
-              [(est.n_points, est.duration, est.samples, est.value,
-                est.stderr, est.rejected)])
-    write_json(out / "phi-estimate.json", _report("phi-estimate", params, {
+    est = qm_estimator.phi_estimate(
+        flow_engine.single_flow(profile, float(params["duration"])),
+        n_points, qm, params["samples"], params["seed"],
+        convention=_CONVENTIONS[params["measure"]])
+    return Outcome(["n_points", "duration", "samples", "value", "stderr",
+                    "rejected"],
+                   [(est.n_points, est.duration, est.samples, est.value,
+                     est.stderr, est.rejected)], {
         "value": est.value,
         "stderr": est.stderr,
         "rejected": est.rejected,
         "invariant_kind": est.invariant_kind,
-    }, None))
-    print(f"phi-estimate: {est.value:.6f} +/- {est.stderr:.6f}")
-    return EXIT_OK
+    }, None, f"{est.value:.6f} +/- {est.stderr:.6f}")
 
 
 _COMMANDS = {
@@ -587,7 +562,7 @@ def build_parser() -> _Parser:
         cmd.add_argument("--seed", type=int, default=None)
         cmd.add_argument("--samples", type=int, default=None)
         cmd.add_argument("--out", type=str, default=".")
-        cmd.add_argument("--measure", choices=["prob", "2pi"], default=None)
+        cmd.add_argument("--measure", choices=list(_CONVENTIONS), default=None)
         cmd.add_argument("--p", type=float, default=None)
         if name == "gg-check":
             cmd.add_argument("--mismatch-n", action="store_true",
@@ -596,12 +571,14 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command, write <command>.csv and <command>.json, exit 0/2/3/4."""
     try:
         args = build_parser().parse_args(argv)
-        params = resolve_params(args.command, args)
+        command = args.command
+        params = resolve_params(command, args)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](params, out)
+        outcome = _COMMANDS[command](params)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -614,6 +591,14 @@ def main(argv=None) -> int:
             braid_trace.RefinementError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
+    write_csv(out / f"{command}.csv", outcome.header, outcome.rows)
+    write_json(out / f"{command}.json", _report(command, params, outcome))
+    if outcome.verdict is None:
+        print(f"{command}: {outcome.summary}")
+        return EXIT_OK
+    print(f"{command}: {outcome.summary}  "
+          f"{'PASS' if outcome.verdict else 'FAIL'}")
+    return EXIT_OK if outcome.verdict else EXIT_TOLERANCE
 
 
 if __name__ == "__main__":

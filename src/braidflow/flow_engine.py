@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chart_geometry import ChartPoint, INFINITY
+from .chart_geometry import ChartPoint
 
 
 class QuadratureError(RuntimeError):
@@ -36,6 +36,8 @@ class RadialProfile:
     def __post_init__(self):
         if not self.knots:
             raise ValueError("profile needs at least one knot")
+        if not all(math.isfinite(x) for knot in self.knots for x in knot):
+            raise ValueError("knot radii and values must be finite")
         radii = [r for r, _ in self.knots]
         if any(r < 0 for r in radii):
             raise ValueError("knot radii must be nonnegative")
@@ -181,19 +183,6 @@ def velocity(spec: FlowSpec, t: float, z: ChartPoint) -> complex:
     """Chart velocity of the flow at time t through point z (autonomous)."""
     zz = z.require_finite()
     return 2j * math.pi * spec.angular_rate(abs(zz)) * zz
-
-
-def flow_complex(spec: FlowSpec, t: float, zs: np.ndarray) -> np.ndarray:
-    """Time-t map applied to an array of finite chart points."""
-    zs = np.asarray(zs, dtype=complex)
-    rate = spec.angular_rate(np.abs(zs))
-    return zs * np.exp(2j * math.pi * t * rate)
-
-
-def flow_map(spec: FlowSpec, t: float, z: ChartPoint) -> ChartPoint:
-    if z.at_infinity:
-        return INFINITY
-    return ChartPoint(complex(flow_complex(spec, t, np.array([z.coord]))[0]))
 
 
 def trajectory(spec: FlowSpec, z0: ChartPoint, time_grid: np.ndarray) -> np.ndarray:

@@ -468,9 +468,10 @@ def braid_per_duration(spec, x, base, omega: complex | None = None,
     """Braid word of one traced loop, built and read off on its own.
 
     The route braidflow 0.1.0 took for every duration: short path in, the
-    flow refined on [0, T] from max(17, 4 * spread * T + 1) even samples,
+    flow refined on [0, T] from max(17, 4 * max|rate| * T + 1) even samples,
     short path back, then each pair's crossings of the projection ray
-    scanned separately, retrying the direction on degeneracy.
+    scanned separately, retrying the direction on degeneracy.  (0.1.0 sized
+    the flow grid from the rate spread, which aliases rigid rotations.)
     """
     from braidflow.braid_algebra import BraidWord
     from braidflow.braid_trace import (DEFAULT_DIRECTION,
@@ -480,8 +481,8 @@ def braid_per_duration(spec, x, base, omega: complex | None = None,
     za, zx = base.coords(), x.coords()
     inbound = _short_path(za, zx, delta, max_step)
     rates = np.atleast_1d(spec.angular_rate(np.abs(zx)))
-    spread = float(np.max(rates) - np.min(rates))
-    n_init = max(17, int(math.ceil(4.0 * spread * spec.duration)) + 1)
+    fastest = float(np.max(np.abs(rates)))
+    n_init = max(17, int(math.ceil(4.0 * fastest * spec.duration)) + 1)
     flow = _refine(
         lambda ts: zx * np.exp(2j * math.pi * rates * ts[:, None]),
         spec.duration, n_init, max_step, x.n)

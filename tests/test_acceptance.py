@@ -139,7 +139,7 @@ def test_accept_06_kernel_moment_suite():
     far = psi0(100.0) * 100.0
     far_ok = abs(far - math.pi) <= 0.02 * math.pi
     grid = [0.0, 0.3, 1.0, 3.0, 10.0, 100.0, 1000.0]
-    c_star, arg = psi0_bound_scan(grid)
+    c_star, arg, _rows = psi0_bound_scan(grid)
     scan_ok = math.isfinite(c_star) and c_star > 0.0
     verdict(6, zero_ok and far_ok and scan_ok,
             f"psi0(0)={at_zero:.6f} (rel {abs(at_zero - math.pi**2/2)/(math.pi**2/2):.1e}), "

@@ -183,9 +183,13 @@ def test_psi0_rejects_bad_tolerance():
 
 
 def test_psi0_bound_scan_peaks_at_origin():
-    c_star, arg = psi0_bound_scan([0.0, 0.5, 1.0, 10.0, 100.0])
+    grid = [0.0, 0.5, 1.0, 10.0, 100.0]
+    c_star, arg, rows = psi0_bound_scan(grid)
     assert arg == 0.0
     assert c_star == pytest.approx(math.pi ** 2 / 2.0, rel=1e-6)
+    assert [row[0] for row in rows] == grid
+    assert rows[0] == (0.0, psi0(0.0), c_star)
+    assert max(row[2] for row in rows) == c_star
     with pytest.raises(ValueError):
         psi0_bound_scan([])
 

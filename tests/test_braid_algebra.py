@@ -20,11 +20,9 @@ from braidflow.braid_algebra import (
     full_twist,
     homogenized_signature,
     is_pure,
-    length_sampler,
     permutation,
     qm_for_strands,
     random_word,
-    raw_combination,
     s_value,
     seifert_matrix,
     signature,
@@ -240,9 +238,9 @@ def test_s_value_vanishes_on_full_twists():
 def test_s_combination_slope_on_twist_powers():
     # writhe-corrected invariant gains nothing per extra full twist
     qm = qm_for_strands(3, "s-combination")
-    vals = [raw_combination(full_twist(3).power(k), qm) for k in (1, 2, 3, 4)]
+    vals = evaluate_words([full_twist(3).power(k) for k in (1, 2, 3, 4)], qm)
     gaps = {b - a for a, b in zip(vals, vals[1:])}
-    assert gaps == {Fraction(0)}
+    assert gaps == {0.0}
 
 
 def test_defect_of_generator_powers_is_one():
@@ -255,7 +253,10 @@ def test_defect_of_generator_powers_is_one():
 
 
 def test_defect_estimate_is_bounded():
-    est = defect_estimate(3, length_sampler(18), trials=150, seed=4)
+    def sampler(rng, n_strands):  # uniform length up to 18 letters
+        return random_word(rng, n_strands, int(rng.integers(1, 19)))
+
+    est = defect_estimate(3, sampler, trials=150, seed=4)
     assert est <= 8.0
 
 
@@ -292,7 +293,7 @@ def test_permutation_and_purity():
 def test_strand_mismatch_raises():
     qm = qm_for_strands(3, "s-combination")
     with pytest.raises(UncalibratedRatioError):
-        raw_combination(BraidWord((1,), 4), qm)
+        evaluate_word(BraidWord((1,), 4), qm)
 
 
 def test_evaluate_word_switch():

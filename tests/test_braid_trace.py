@@ -1,6 +1,5 @@
 """Loop tracing: winding, angular variation, crossings, braid extraction."""
 
-import io
 import math
 
 import numpy as np
@@ -18,13 +17,12 @@ from braidflow.braid_trace import (
     TraceRejection,
     base_tuple,
     build_loop,
-    crossing_count,
     crossing_counts,
     extract_braid,
     random_tuple,
     short_path,
     total_angular_variation,
-    trace_to_csv,
+    trace_rows,
     trace_words,
     tuple_from_coords,
     winding,
@@ -37,6 +35,7 @@ from braidflow.flow_engine import (
     FlowSpec,
     annulus_profile,
     compose_specs,
+    constant_profile,
     single_flow,
     step_profile,
 )
@@ -83,6 +82,23 @@ def test_full_turn_gives_positive_hopf_word():
     word = extract_braid(co_rotating_pair(1)).reduced()
     assert word.letters == (1, 1)
     assert signature(word) == -1
+
+
+def test_rigid_rotation_winds_every_pair_once_per_unit_time():
+    # every rate is 1, so the rate spread is 0; a flow grid sized from the
+    # spread kept 17 samples on [0, 16], one full turn apart, and read no
+    # turn at all
+    spec = single_flow(constant_profile(1.0), 16.0)
+    x = tuple_from_coords([0.3 + 0.1j, -0.8 + 0.5j, 1.7 - 0.4j, -0.2 - 2.5j])
+    base = base_tuple(4)
+    loop = build_loop(spec, x, base)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            assert round(winding(loop, i, j)) == 16
+    assert writhe(extract_braid(loop)) == 192
+    [word] = trace_words([spec], x, base)
+    assert writhe(word) == 192
+    assert writhe(braid_per_duration(spec, x, base)) == 192
 
 
 def test_winding_is_antisymmetric_free():
@@ -142,7 +158,8 @@ def test_crossing_count_means_match_angular_variation():
     omegas = np.exp(2j * math.pi * rng.random(4000))
     counts = crossing_counts(loop, 0, 1, omegas)
     assert float(np.mean(counts)) == pytest.approx(tav, rel=0.02)
-    assert crossing_count(loop, 0, 1, complex(omegas[0])) == counts[0]
+    one = crossing_counts(loop, 0, 1, omegas[:1])
+    assert one.tolist() == counts[:1].tolist()
 
 
 def test_exactly_aligned_direction_is_flagged():
@@ -223,13 +240,12 @@ def test_pair_angle_steps_are_refined():
 
 def test_trace_csv_format():
     loop = co_rotating_pair(1)
-    buf = io.StringIO()
-    trace_to_csv(loop, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "segment,t,strand,re,im"
-    first = lines[1].split(",")
-    assert len(first) == 5
-    float(first[3]), float(first[4])  # parse back
+    rows = trace_rows(loop)
+    assert len(rows) == 2 * sum(len(seg.times) for seg in loop.segments)
+    assert [type(v) for v in rows[0]] == [str, float, int, float, float]
+    z = loop.segments[0].points[0, 1]
+    assert rows[1] == ("short", 0.0, 1, z.real, z.imag)
+    assert rows[-1][0] == "short" and rows[-1][1] == 1.0
 
 
 @given(st.integers(2, 5), st.integers(0, 1000))

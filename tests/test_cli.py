@@ -210,6 +210,24 @@ def test_seed_flag_reaches_report(tmp_path):
     ("gg-check", {"tolerance_rel": "x"}, []),
     ("coarea-check", {"tolerance_rel": -1.0}, []),
     ("psi-bound", {"tail_a": "x"}, []),
+    ("psi-bound", {"tail_a": 10 ** 400}, []),  # too large for a float
+    ("psi-bound", {"a_max": math.inf}, []),
+    ("gg-check", {"samples": 1}, []),
+    ("gg-check", {"t_list": [1, 3, 2]}, []),
+    ("phi-estimate", {"measure": [1]}, []),
+    ("lp-length", {"t_list": "123"}, []),
+    ("braid-of-flow", {"profile": {"knots": [[0.5, math.nan]]}}, []),
+    ("braid-of-flow", {"profile": {"knots": [[0.5, math.inf]]}}, []),
+    ("braid-of-flow", {"profile": {"knots": [[math.nan, 1.0]]}}, []),
+    ("gg-check", {"profile": {"type": "step", "lambda": math.nan,
+                              "u0": 0.5}}, []),
+    ("braid-of-flow", {"profile": {"type": "step", "lambda": 1.0,
+                                   "u0": 2.0}}, []),
+    ("braid-of-flow", {"profile": {"type": "step", "lambda": 1.0,
+                                   "u0": "a"}}, []),
+    # no knot at a positive radius to bound the sampling disc
+    ("coarea-check", {"profile": {"type": "constant", "value": 1.0}}, []),
+    ("coarea-check", {"profile": {"knots": [[0, 0]]}}, []),
 ])
 def test_bad_input_is_a_one_line_config_error(tmp_path, capsys, command,
                                               config, flags):
@@ -258,6 +276,55 @@ def test_extraction_error_is_exit_3(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(braid_trace, "extract_braid", no_direction)
     code, _ = run(tmp_path, "a", "braid-of-flow")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("degeneracy: ")
+    assert err.count("\n") == 1
+
+
+def test_braid_of_flow_rejection_budget_is_exit_3(tmp_path, monkeypatch,
+                                                 capsys):
+    def collide(*args, **kwargs):
+        raise braid_trace.PathCollisionError("chords collide")
+
+    monkeypatch.setattr(braid_trace, "build_loop", collide)
+    code, out = run(tmp_path, "a", "braid-of-flow")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("degeneracy: ")
+    assert err.count("\n") == 1
+    assert not (out / "braid-of-flow.json").exists()
+
+
+def test_coarea_direction_retries_are_exit_3(tmp_path, monkeypatch, capsys):
+    def aligned(*args, **kwargs):
+        raise braid_trace.DegenerateDirectionError("aligned")
+
+    monkeypatch.setattr(braid_trace, "crossing_counts", aligned)
+    code, out = run(tmp_path, "a", "coarea-check")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("degeneracy: ")
+    assert err.count("\n") == 1
+    assert not (out / "coarea-check.json").exists()
+
+
+def test_embed_demo_at_one_dimension(tmp_path):
+    # with one profile the two bounds are equal, up to rounding
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d": 1, "ramp": 0.001, "seed": 0}))
+    code, out = run(tmp_path, "a", "embed-demo", "--config", str(cfg))
+    assert code == 0
+    rep = load(out, "embed-demo")
+    assert rep["ratio_spread"] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_embed_demo_with_an_underflowing_length_is_exit_3(tmp_path, capsys):
+    # rates so small that the L^3 length underflows to 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d": 1, "height": 3e-111, "ramp": 0.125,
+                               "p": 3.0}))
+    code, _ = run(tmp_path, "a", "embed-demo", "--config", str(cfg))
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("degeneracy: ")

@@ -14,7 +14,6 @@ from braidflow.flow_engine import (
     annulus_profile,
     compose_specs,
     constant_profile,
-    flow_map,
     lp_length,
     power,
     profile_from_json,
@@ -26,6 +25,11 @@ from braidflow.flow_engine import (
 )
 
 RIGID_L2 = 2.0 * math.pi * math.sqrt(math.pi / 3.0)
+
+
+def flow_at(spec, t, z):
+    """The time-t image of the chart point z, read off its trajectory."""
+    return complex(trajectory(spec, ChartPoint(complex(z)), [t])[0])
 
 
 def knot_strategy():
@@ -80,17 +84,21 @@ def test_lp_length_empty_spec_is_zero():
 def test_full_turn_is_identity_inside_plateau():
     spec = single_flow(step_profile(1.0, 0.6))
     z = ChartPoint(0.2 + 0.3j)
-    end = flow_map(spec, 1.0, z)
-    assert end.coord == pytest.approx(z.coord, abs=1e-12)
+    assert flow_at(spec, 1.0, z.coord) == pytest.approx(z.coord, abs=1e-12)
 
 
-def test_trajectory_matches_flow_map():
+def test_trajectory_is_a_one_parameter_group():
+    # flowing s, then t from where it arrived, is flowing s + t
     spec = single_flow(step_profile(0.7, 0.9), duration=2.0)
     z = ChartPoint(0.4 - 0.2j)
     ts = np.linspace(0.0, 2.0, 7)
     path = trajectory(spec, z, ts)
-    for t, zt in zip(ts, path):
-        assert flow_map(spec, float(t), z).coord == pytest.approx(complex(zt))
+    assert path[0] == z.coord
+    for s, zs in zip(ts, path):
+        for t in ts:
+            assert flow_at(spec, float(t), zs) == pytest.approx(
+                flow_at(spec, float(s + t), z.coord))
+        assert abs(zs) == pytest.approx(abs(z.coord))
 
 
 def test_velocity_is_tangent_rotation():
@@ -105,7 +113,7 @@ def test_flow_preserves_area():
     spec = single_flow(step_profile(1.3, 0.8, ramp=0.2), duration=0.7)
     h = 1e-6
     for z0 in (0.3 + 0.1j, 0.75 + 0.0j, 0.2 - 0.85j):
-        f = lambda z: flow_map(spec, 0.7, ChartPoint(z)).coord
+        f = lambda z: flow_at(spec, 0.7, z)
         dx = (f(z0 + h) - f(z0 - h)) / (2.0 * h)
         dy = (f(z0 + 1j * h) - f(z0 - 1j * h)) / (2.0 * h)
         jac = dx.real * dy.imag - dx.imag * dy.real
@@ -118,8 +126,8 @@ def test_disjoint_components_commute():
     ab = compose_specs(single_flow(inner, 2.0), single_flow(outer, 3.0))
     ba = compose_specs(single_flow(outer, 3.0), single_flow(inner, 2.0))
     for z in (0.2 + 0.1j, 1.5 + 0.0j, 3.0 - 1.0j):
-        za = flow_map(ab, ab.duration, ChartPoint(z)).coord
-        zb = flow_map(ba, ba.duration, ChartPoint(z)).coord
+        za = flow_at(ab, ab.duration, z)
+        zb = flow_at(ba, ba.duration, z)
         assert za == pytest.approx(zb)
 
 
@@ -140,14 +148,14 @@ def test_overlapping_supports_rejected():
 def test_power_matches_repeated_flow():
     spec = single_flow(step_profile(0.9, 0.7), duration=1.5)
     z = ChartPoint(0.3 + 0.2j)
-    three = flow_map(power(spec, 3), power(spec, 3).duration, z).coord
+    three = flow_at(power(spec, 3), power(spec, 3).duration, z.coord)
     direct = z.coord
     for _ in range(3):
-        direct = flow_map(spec, spec.duration, ChartPoint(direct)).coord
+        direct = flow_at(spec, spec.duration, direct)
     assert three == pytest.approx(direct)
     inverse = power(spec, -1)
-    back = flow_map(inverse, inverse.duration,
-                    flow_map(spec, spec.duration, z)).coord
+    back = flow_at(inverse, inverse.duration,
+                   flow_at(spec, spec.duration, z.coord))
     assert back == pytest.approx(z.coord)
     assert power(spec, 0).components == tuple()
 
