@@ -20,7 +20,7 @@ import numpy as np
 from .chart_geometry import TWO_PI, radius_from_height
 from .flow_engine import (FlowSpec, QuadratureError, RadialProfile,
                           annulus_profile, arc_integral, knot_arcs, lp_length,
-                          single_flow)
+                          require_finite, single_flow)
 
 GG_RELATIVE_TOL = 1e-10
 SOLVE_RESIDUAL_TOL = 1e-10
@@ -39,6 +39,7 @@ class SingularMatrixError(RuntimeError):
     """Profile family produced a rank-deficient moment matrix."""
 
 
+@np.errstate(over="ignore", invalid="ignore")  # see require_finite
 def gg_rhs(profile: RadialProfile, n: int) -> float:
     """Predicted growth rate of the 2n-point averaged invariant.
 
@@ -64,7 +65,7 @@ def gg_rhs(profile: RadialProfile, n: int) -> float:
     if err > GG_RELATIVE_TOL * abs(value) + 1e-13:
         raise QuadratureError(
             f"gg_rhs error estimate {err:.3e} too large for value {value:.6e}")
-    return 0.5 * n * float(value)
+    return require_finite(0.5 * n * float(value))
 
 
 def psi0(a: complex, tol: float = 1e-6) -> float:
@@ -172,8 +173,10 @@ def sign_matrix(profiles) -> EmbeddingReport:
     FlowSpec(tuple((prof, 1.0) for prof in profiles))  # rejects overlaps
     m = np.array([[gg_rhs(prof, n + 1) for prof in profiles]
                   for n in range(1, d + 1)])
+    with np.errstate(over="ignore"):  # an infinite norm zeroes its row
+        norms = np.linalg.norm(m, axis=1)
+    require_finite(float(np.max(norms)))
     det = float(np.linalg.det(m))
-    norms = np.linalg.norm(m, axis=1)
     if np.any(norms == 0.0):
         raise SingularMatrixError(
             "a moment row vanishes; choose profiles with nonzero rates")

@@ -1,18 +1,19 @@
 """Closed configuration-space loops traced by a flow, and their braid data.
 
 A loop is built from three segments: a short path from the base tuple to the
-sampled tuple, the flow trace itself, and a short path back to base.  All
-angular quantities (winding, total variation, crossing counts, braid letters)
-are computed from one shared set of samples per loop, treating the
+sampled tuple, the flow trace itself, and a short path back to base.  Past
+the sampled `ConfigTuple` each segment is an array of chart coordinates, and
+all angular quantities (winding, total variation, crossing counts, braid
+letters) are computed from one shared set of samples per loop, treating the
 piecewise-linear interpolation as the curve itself.
 
 The short paths are straight chart chords, exact as two samples: every
 point moves affinely along a chord, so every pair vector does too, and a
 pair vector that misses the origin turns by less than pi and crosses any
-line through the origin at most once.  Only the flow is refined: its
-samples are bisected until every pair-angle step is below the threshold, so
-each flow edge is a chord too short to cross a projection line twice, and
-the combinatorics read off the polygon are those of the flow.
+line through the origin at most once.  Only the flow is refined: its exact
+samples (`flow_engine.trajectory`) are bisected until no pair-angle step
+exceeds DEFAULT_MAX_STEP, so each flow edge is a chord too short to cross a
+projection line twice, and the polygon's combinatorics are the flow's.
 
 The loops one sampled tuple traces under several flows or durations share
 their start: `trace_words` builds the inbound path once, refines each flow
@@ -28,8 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .braid_algebra import BraidWord, permutation
 from .chart_geometry import ChartPoint, sample_uniform_complex
-from .flow_engine import FlowSpec
+from .flow_engine import FlowSpec, trajectory
 
 DEFAULT_SEPARATION = 1e-9
 DEFAULT_MAX_STEP = math.pi / 8
@@ -68,9 +70,7 @@ class ConfigTuple:
     points: tuple[ChartPoint, ...]
 
     def __post_init__(self):
-        zs = []
-        for pt in self.points:
-            zs.append(pt.require_finite())
+        zs = [pt.require_finite() for pt in self.points]
         for i in range(len(zs)):
             for j in range(i + 1, len(zs)):
                 if abs(zs[i] - zs[j]) <= DEFAULT_SEPARATION:
@@ -138,7 +138,7 @@ def _unwrapped(w: np.ndarray, start) -> np.ndarray:
     return psi
 
 
-def _refine(evaluate, times: np.ndarray, max_step: float, n: int) -> Segment:
+def _refine(evaluate, times: np.ndarray, n: int) -> Segment:
     """Bisect the flow's sample times until all pair-angle steps are small."""
     i, j = _pair_columns(n)
     while True:
@@ -146,7 +146,7 @@ def _refine(evaluate, times: np.ndarray, max_step: float, n: int) -> Segment:
         if i.size == 0:
             return Segment("flow", times, pts)
         steps = np.abs(_wrapped_steps(pts[:, i] - pts[:, j]))
-        bad = np.nonzero(steps.max(axis=1) > max_step)[0]
+        bad = np.nonzero(steps.max(axis=1) > DEFAULT_MAX_STEP)[0]
         if bad.size == 0:
             return Segment("flow", times, pts)
         if times.size + bad.size > REFINE_CAP:
@@ -156,36 +156,34 @@ def _refine(evaluate, times: np.ndarray, max_step: float, n: int) -> Segment:
         times = np.sort(np.concatenate([times, mids]))
 
 
-def _check_separation(pts: np.ndarray, delta: float):
+def _check_separation(pts: np.ndarray):
     i, j = _pair_columns(pts.shape[1])
     closest = np.min(np.abs(pts[:, i] - pts[:, j]), axis=0, initial=np.inf)
-    hit = np.nonzero(closest <= delta)[0]
+    hit = np.nonzero(closest <= DEFAULT_SEPARATION)[0]
     if hit.size:
         k = hit[0]
         raise PathCollisionError(f"flow segment brings points {i[k]},{j[k]} "
                                  f"within {closest[k]:.3e}")
 
 
-def short_path(frm: ConfigTuple, to: ConfigTuple,
-               delta_sep: float = DEFAULT_SEPARATION) -> Segment:
-    """Straight chart chords between tuples, rejected on near-collisions.
+def short_path(za: np.ndarray, zb: np.ndarray) -> Segment:
+    """Straight chart chords from za to zb, rejected on near-collisions.
 
     The path is exact as one edge: along the chords every pair vector is
     affine in s, so it turns by less than pi and crosses a projection line
     at most once, and needs no refinement.  Each pair's minimum distance
     over s in [0, 1] is checked in closed form.
     """
-    if frm.n != to.n:
+    if za.shape != zb.shape:
         raise ValueError("tuples have different sizes")
-    za, zb = frm.coords(), to.coords()
-    i, j = _pair_columns(frm.n)
+    i, j = _pair_columns(len(za))
     a0 = za[i] - za[j]
     d = (zb[i] - zb[j]) - a0
     dd = np.abs(d) ** 2
     s = np.divide(-(a0 * d.conjugate()).real, dd, out=np.zeros(dd.shape),
                   where=dd != 0.0)
     closest = np.abs(a0 + np.clip(s, 0.0, 1.0) * d)
-    hit = np.nonzero(closest <= delta_sep)[0]
+    hit = np.nonzero(closest <= DEFAULT_SEPARATION)[0]
     if hit.size:
         k = hit[0]
         raise PathCollisionError(f"chords of points {i[k]},{j[k]} collide")
@@ -196,7 +194,6 @@ def short_path(frm: ConfigTuple, to: ConfigTuple,
 class LoopTrace:
     base: ConfigTuple
     spec: FlowSpec
-    duration: float
     segments: tuple[Segment, ...]
     _pair_cache: dict = field(default_factory=dict, repr=False)
     _samples_cache: np.ndarray | None = field(default=None, repr=False)
@@ -231,8 +228,8 @@ class LoopTrace:
         return psi
 
 
-def _flow_segment(spec: FlowSpec, zx: np.ndarray, durations: np.ndarray,
-                  delta_sep: float, max_step: float) -> Segment:
+def _flow_segment(spec: FlowSpec, zx: np.ndarray,
+                  durations: np.ndarray) -> Segment:
     """The flow's trace from zx on [0, max(durations)], refined and checked.
 
     The flow is autonomous, so its trace up to any duration is a prefix of
@@ -240,14 +237,9 @@ def _flow_segment(spec: FlowSpec, zx: np.ndarray, durations: np.ndarray,
     times, so each prefix ends exactly at its duration and meets the step
     criterion by itself.
     """
-    rates = np.atleast_1d(spec.angular_rate(np.abs(zx)))
+    rates = spec.angular_rate(np.abs(zx))
     spread = float(np.max(rates) - np.min(rates)) if len(zx) > 1 else 0.0
     fastest = float(np.max(np.abs(rates))) if len(zx) > 1 else 0.0
-
-    def evaluate(ts):
-        # same arithmetic as flow_engine.trajectory, one row per time
-        return zx[None, :] * np.exp(2j * math.pi * rates[None, :] * ts[:, None])
-
     t_max = float(durations[-1])
     steps = 4.0 * spread * t_max
     # A pair vector turns with its outer point, plus a term that stays within
@@ -264,68 +256,61 @@ def _flow_segment(spec: FlowSpec, zx: np.ndarray, durations: np.ndarray,
             f"flow segment needs more than {REFINE_CAP} samples")
     n_init = max(edges + 1, int(math.ceil(steps)) + 1)
     times = np.union1d(np.linspace(0.0, t_max, n_init), durations)
-    seg = _refine(evaluate, times, max_step, len(zx))
-    _check_separation(seg.points, delta_sep)
+    seg = _refine(lambda ts: trajectory(spec, zx, ts), times, len(zx))
+    _check_separation(seg.points)
     return seg
 
 
-def _trace_legs(specs, x: ConfigTuple, base: ConfigTuple, delta_sep: float,
-                max_step: float):
+def _trace_legs(specs, x: ConfigTuple, base: ConfigTuple):
     """Inbound path, and per distinct flow (flow, [(k, index, outbound)]).
 
     Specs with the same components share one flow segment, refined to the
     longest of their durations.  The loop of specs[k] runs along it up to
     flow.times[index], its duration, and returns from there by outbound.
+    The legs run on coordinate arrays: each outbound one starts at a flow
+    sample, which `_check_separation` has already held apart.
     """
-    if x.n != base.n:
-        raise ValueError("tuple sizes differ")
-    inbound = short_path(base, x, delta_sep)
-    zx = x.coords()
+    za, zx = base.coords(), x.coords()
+    inbound = short_path(za, zx)
     groups: dict = {}
     for k, spec in enumerate(specs):
         groups.setdefault(spec.components, []).append(k)
     flows = []
     for ks in groups.values():
         durations = np.unique([specs[k].duration for k in ks])
-        flow = _flow_segment(specs[ks[0]], zx, durations, delta_sep, max_step)
+        flow = _flow_segment(specs[ks[0]], zx, durations)
         legs = []
         for k in ks:
             idx = int(np.searchsorted(flow.times, specs[k].duration))
-            y = tuple_from_coords(flow.points[idx])
-            legs.append((k, idx, short_path(y, base, delta_sep)))
+            legs.append((k, idx, short_path(flow.points[idx], za)))
         flows.append((flow, legs))
     return inbound, flows
 
 
-def build_loop(spec: FlowSpec, x: ConfigTuple, base: ConfigTuple,
-               delta_sep: float = DEFAULT_SEPARATION,
-               max_step: float = DEFAULT_MAX_STEP) -> LoopTrace:
+def build_loop(spec: FlowSpec, x: ConfigTuple, base: ConfigTuple) -> LoopTrace:
     """Chord in, refined flow trace, chord back; collision-checked."""
-    inbound, [(flow, [(_k, _idx, outbound)])] = _trace_legs(
-        [spec], x, base, delta_sep, max_step)
-    return LoopTrace(base, spec, spec.duration, (inbound, flow, outbound))
+    inbound, [(flow, [(_k, _idx, outbound)])] = _trace_legs([spec], x, base)
+    return LoopTrace(base, spec, (inbound, flow, outbound))
 
 
 def trace_words(specs, x: ConfigTuple, base: ConfigTuple,
                 omega: complex | None = None):
     """Braid word of the loop each spec traces from x, from one shared trace.
 
-    Equal to [extract_braid(build_loop(spec, x, base, ...), omega) for spec
-    in specs] up to the spelling of each word, and rejected (TraceRejection)
+    Equal to [extract_braid(build_loop(spec, x, base), omega) for spec in
+    specs] up to the spelling of each word, and rejected (TraceRejection)
     when any of those loops would be.  The inbound path is built
     once, the flow once per distinct set of components, and the crossing
     events of inbound path plus flow once per projection direction; only
     the outbound paths and their events are per spec.
     """
-    inbound, flows = _trace_legs(specs, x, base, DEFAULT_SEPARATION,
-                                 DEFAULT_MAX_STEP)
+    inbound, flows = _trace_legs(specs, x, base)
     head = len(inbound.times) - 1
     words = [None] * len(specs)
     for flow, legs in flows:
         prefix = np.concatenate([inbound.points, flow.points[1:]])
         tails = [(head + idx, out.points[1:]) for _k, idx, out in legs]
-        for (k, _idx, _out), word in zip(
-                legs, _read_words(prefix, tails, omega, DEFAULT_RETRIES)):
+        for (k, _idx, _out), word in zip(legs, _read_words(prefix, tails, omega)):
             words[k] = word
     return words
 
@@ -388,8 +373,7 @@ def _ray_events(psi: np.ndarray, w: np.ndarray, chi: float):
     return edge[order], frac[order], pair[order], sign[order]
 
 
-def extract_braid(loop: LoopTrace, omega: complex | None = None,
-                  max_retries: int = DEFAULT_RETRIES):
+def extract_braid(loop: LoopTrace, omega: complex | None = None):
     """Braid word of the loop from the projection along a generic direction.
 
     Strands are ordered by the projection coordinate; every adjacent swap
@@ -399,11 +383,10 @@ def extract_braid(loop: LoopTrace, omega: complex | None = None,
     Degenerate directions are retried with a deterministic turn.
     """
     z = loop.samples()
-    return _read_words(z, [(len(z) - 1, z[:0])], omega, max_retries)[0]
+    return _read_words(z, [(len(z) - 1, z[:0])], omega)[0]
 
 
-def _read_words(prefix: np.ndarray, tails, omega: complex | None,
-                max_retries: int):
+def _read_words(prefix: np.ndarray, tails, omega: complex | None):
     """Braid words of loops that share their first samples.
 
     Loop k is prefix[:cut + 1] followed by tail, for (cut, tail) = tails[k].
@@ -412,8 +395,6 @@ def _read_words(prefix: np.ndarray, tails, omega: complex | None,
     for that loop alone; one degenerate anywhere on the prefix is retried
     for all.
     """
-    from .braid_algebra import BraidWord
-
     n = prefix.shape[1]
     if n == 1:
         return [BraidWord((), 1)] * len(tails)
@@ -428,7 +409,7 @@ def _read_words(prefix: np.ndarray, tails, omega: complex | None,
     words = [None] * len(tails)
     base_omega = DEFAULT_DIRECTION if omega is None else omega
     last_err: Exception | None = None
-    for attempt in range(max_retries):
+    for attempt in range(DEFAULT_RETRIES):
         om = base_omega * complex(np.exp(1j * _RETRY_TURN * attempt))
         om /= abs(om)
         chi = math.atan2(om.imag, om.real)
@@ -452,7 +433,7 @@ def _read_words(prefix: np.ndarray, tails, omega: complex | None,
         if all(word is not None for word in words):
             return words
     raise ExtractionError(
-        f"no generic projection direction in {max_retries} tries: {last_err}")
+        f"no generic projection direction in {DEFAULT_RETRIES} tries: {last_err}")
 
 
 def _initial_order(z0: np.ndarray, om: complex) -> list[int]:
@@ -464,8 +445,6 @@ def _initial_order(z0: np.ndarray, om: complex) -> list[int]:
 
 def _word_from_events(order: list[int], strands, edge, frac, pair, sign):
     """Walk the strand order through the sorted events, one letter each."""
-    from .braid_algebra import BraidWord, permutation
-
     same = (edge[1:] == edge[:-1]) & (frac[1:] == frac[:-1])
     if np.any(same):
         raise DegenerateDirectionError("simultaneous crossings")

@@ -116,9 +116,15 @@ _FLAG_KEYS = {"seed": "seed", "samples": "samples", "p": "p",
 _CONVENTIONS = {"prob": PROBABILITY, "2pi": ROUND_2PI}
 
 
+def _real(v) -> float:
+    if isinstance(v, bool):  # float() reads true and false as 1 and 0
+        raise TypeError("a boolean is not a number")
+    return float(v)
+
+
 def _durations(v) -> bool:
     return (isinstance(v, list) and len(v) > 0
-            and all(0.0 < float(t) < math.inf for t in v))
+            and all(0.0 < _real(t) < math.inf for t in v))
 
 
 _KIND = (lambda v: v in braid_algebra.QM_KINDS,
@@ -128,14 +134,14 @@ _SAMPLES = (lambda v: v >= 2, ">= 2")
 _DURATIONS = (_durations, "a nonempty list of positive finite durations")
 # a least-squares slope and its residual need three durations
 _SLOPE_DURATIONS = (lambda v: _durations(v) and len(v) >= 3 and all(
-                        float(a) < float(b) for a, b in zip(v, v[1:])),
+                        _real(a) < _real(b) for a, b in zip(v, v[1:])),
                     "at least 3 strictly increasing positive finite "
                     "durations")
-_EXPONENT = (lambda v: float(v) >= 1.0, ">= 1")
-_POSITIVE = (lambda v: 0.0 < float(v) < math.inf, "positive and finite")
-_FINITE = (lambda v: math.isfinite(float(v)), "a finite number")
+_EXPONENT = (lambda v: _real(v) >= 1.0, ">= 1")
+_POSITIVE = (lambda v: 0.0 < _real(v) < math.inf, "positive and finite")
+_FINITE = (lambda v: math.isfinite(_real(v)), "a finite number")
 _POINTS = (lambda v: v is None or (isinstance(v, list) and all(
-               len(z) == 2 and all(math.isfinite(float(c)) for c in z)
+               len(z) == 2 and all(math.isfinite(_real(c)) for c in z)
                for z in v)),
            "null or a list of [re, im] pairs of finite numbers")
 
@@ -152,9 +158,9 @@ _RANGES = {
         "tolerance_rel": _POSITIVE,
     },
     "psi-bound": {
-        "a_max": (lambda v: 1.0 < float(v) < math.inf, "> 1 and finite"),
+        "a_max": (lambda v: 1.0 < _real(v) < math.inf, "> 1 and finite"),
         "n_grid": (lambda v: v >= 3, ">= 3"),
-        "tol": (lambda v: float(v) > 0.0, "> 0"),
+        "tol": (lambda v: _real(v) > 0.0, "> 0"),
         "tail_a": _POSITIVE,
     },
     "embed-demo": {

@@ -185,11 +185,12 @@ def velocity(spec: FlowSpec, t: float, z: ChartPoint) -> complex:
     return 2j * math.pi * spec.angular_rate(abs(zz)) * zz
 
 
-def trajectory(spec: FlowSpec, z0: ChartPoint, time_grid: np.ndarray) -> np.ndarray:
-    """Exact trajectory samples of z0 at the given times."""
-    zz = z0.require_finite()
-    rate = spec.angular_rate(abs(zz))
-    return zz * np.exp(2j * math.pi * rate * np.asarray(time_grid, dtype=float))
+def trajectory(spec: FlowSpec, zs, times) -> np.ndarray:
+    """Exact flow of the chart coordinates zs, one row per time."""
+    zs = np.asarray(zs, dtype=complex)
+    rates = spec.angular_rate(np.abs(zs))
+    ts = np.asarray(times, dtype=float)
+    return zs[None, :] * np.exp(2j * math.pi * rates[None, :] * ts[:, None])
 
 
 def power(spec: FlowSpec, k: int) -> FlowSpec:
@@ -240,7 +241,7 @@ def knot_arcs(radii, values):
     theta = pi, and knot intervals are cut where the rate changes sign.
     """
     rs, ws = np.asarray(radii, dtype=float), np.asarray(values, dtype=float)
-    i = np.nonzero(ws[:-1] * ws[1:] < 0.0)[0]
+    i = np.nonzero(np.sign(ws[:-1]) * np.sign(ws[1:]) < 0.0)[0]
     cuts = np.union1d(rs, rs[i] + (rs[i + 1] - rs[i]) * ws[i] / (ws[i] - ws[i + 1]))
     rs, ws = cuts, np.interp(cuts, rs, ws)
     b = np.diff(ws) / np.diff(rs)
@@ -271,6 +272,7 @@ def arc_integral(f, lo, hi, a, b) -> tuple[float, float]:
     return float(est[1]), float(abs(est[1] - est[0]))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # see require_finite
 def lp_length(spec: FlowSpec, p: float, rel_tol: float = 1e-8) -> float:
     """Length of the flow path in the L^p metric on area-preserving maps.
 
@@ -278,7 +280,8 @@ def lp_length(spec: FlowSpec, p: float, rel_tol: float = 1e-8) -> float:
     pointwise speed to the p-th power against the round measure of total
     mass 2*pi) ** (1/p).  p = inf gives duration * (sup of the speed).  The
     speed is pi |h| on the arcs of `knot_arcs`, and (pi |h|)^p pi sin(theta)
-    goes to `arc_integral`; QuadratureError if its estimate exceeds rel_tol.
+    goes to `arc_integral`; QuadratureError if its estimate exceeds rel_tol
+    or the length overflows.
     """
     if not p >= 1:
         raise ValueError("p must be >= 1 or inf")
@@ -287,7 +290,7 @@ def lp_length(spec: FlowSpec, p: float, rel_tol: float = 1e-8) -> float:
     radii = np.array(spec.breakpoint_radii())
     arcs = knot_arcs(radii, spec.angular_rate(radii))
     if p == math.inf:
-        return spec.duration * _sup_speed(*arcs)
+        return require_finite(spec.duration * _sup_speed(*arcs))
     total, err = arc_integral(
         lambda theta, h: (math.pi * np.abs(h)) ** p * math.pi * np.sin(theta),
         *arcs)
@@ -295,7 +298,14 @@ def lp_length(spec: FlowSpec, p: float, rel_tol: float = 1e-8) -> float:
     if err > rel_tol * total + np.finfo(float).tiny:
         raise QuadratureError(
             f"speed integral error {err:.3e} too large for value {total:.6e}")
-    return spec.duration * total ** (1.0 / p)
+    return require_finite(spec.duration * total ** (1.0 / p))
+
+
+def require_finite(value: float) -> float:
+    """value, or QuadratureError where huge rates overflowed to inf or nan."""
+    if not math.isfinite(value):
+        raise QuadratureError(f"quadrature value {value} is not finite")
+    return value
 
 
 def _sup_speed(lo, hi, a, b) -> float:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from braidflow.braid_algebra import is_pure, signature, writhe
 from braidflow.braid_trace import (
-    DEFAULT_MAX_STEP,
     ConfigTuple,
     DegenerateDirectionError,
     PathCollisionError,
@@ -28,11 +27,10 @@ from braidflow.braid_trace import (
     winding,
     _pair_columns,
     _ray_events,
-    _trace_legs,
     _unwrapped,
 )
 from braidflow.flow_engine import (
-    FlowSpec,
+    RadialProfile,
     annulus_profile,
     compose_specs,
     constant_profile,
@@ -171,17 +169,16 @@ def test_exactly_aligned_direction_is_flagged():
 
 def test_short_path_linear_collision_rejected():
     # straight interpolation would send both points through the origin
-    frm = tuple_from_coords([-1.0, 1.0])
-    to = tuple_from_coords([1.0, -1.0])
     with pytest.raises(TraceRejection):
-        short_path(frm, to)
+        short_path(np.array([-1.0, 1.0], dtype=complex),
+                   np.array([1.0, -1.0], dtype=complex))
 
 
 def test_short_path_endpoints():
-    frm, to = base_tuple(3, 0.1), base_tuple(3, 0.4)
+    frm, to = base_tuple(3, 0.1).coords(), base_tuple(3, 0.4).coords()
     seg = short_path(frm, to)
     assert seg.times.tolist() == [0.0, 1.0]
-    assert np.array_equal(seg.points, np.stack([frm.coords(), to.coords()]))
+    assert np.array_equal(seg.points, np.stack([frm, to]))
 
 
 @given(st.integers(2, 6), st.booleans(), st.integers(0, 10 ** 6))
@@ -199,7 +196,7 @@ def test_chord_events_match_refined_oracle_chord(n, to_base, salt):
     except TraceRejection:
         return
     try:
-        seg = short_path(x, y)
+        seg = short_path(x.coords(), y.coords())
     except TraceRejection:
         with pytest.raises(TraceRejection):
             chord_events(x.coords(), y.coords(), chi)
@@ -262,27 +259,40 @@ def test_random_tuple_separation(n, salt):
             assert abs(zs[i] - zs[j]) > 1e-9
 
 
-def spec_lists(height, shape, durations):
-    """Specs of one draw: a single duration, an increasing duration list, or
-    the defect monitor's composite of a step and an annulus flow with both."""
-    step = step_profile(height, 0.45)
+# rate profiles of height h: a step, a rigid rotation, and a near-rigid one
+# whose points all turn at nearly one rate, which a flow grid sized from the
+# rate spread alone would alias at long durations
+PROFILES = {
+    "step": lambda h: step_profile(h, 0.45),
+    "rigid": constant_profile,
+    "near-rigid": lambda h: RadialProfile(((0.0, h), (10.0, 0.95 * h))),
+}
+
+
+def spec_lists(height, shape, profile, durations):
+    """Specs of one draw: a single duration or an increasing duration list
+    of the profile, or the defect monitor's composite of a step and an
+    annulus flow with both (whatever the profile, as a rigid one overlaps
+    the annulus)."""
     if shape == "monitor":
-        f = single_flow(step, durations[0])
+        f = single_flow(step_profile(height, 0.45), durations[0])
         g = single_flow(annulus_profile(-0.7, 0.9, 1.5), durations[-1])
         return [compose_specs(f, g), f, g]
     if shape == "single":
         durations = durations[-1:]
-    return [FlowSpec(((step, 1.0),), t) for t in durations]
+    return [single_flow(PROFILES[profile](height), t) for t in durations]
 
 
 @given(st.integers(2, 5), st.sampled_from(["single", "increasing", "monitor"]),
-       st.lists(st.sampled_from([0.25, 0.6, 1.0, 1.5, 2.0, 3.0]), min_size=1,
-                max_size=4, unique=True).map(sorted),
+       st.sampled_from(sorted(PROFILES)),
+       st.lists(st.sampled_from([0.25, 0.6, 1.0, 1.5, 2.0, 3.0, 16.5, 40.0,
+                                 64.0]),
+                min_size=1, max_size=4, unique=True).map(sorted),
        st.floats(-2.0, 2.0).filter(lambda h: abs(h) > 0.05),
        st.integers(0, 10 ** 6))
-@settings(max_examples=40, deadline=None)
-def test_shared_trace_matches_per_duration_oracle(n, shape, durations, height,
-                                                  salt):
+@settings(max_examples=120, deadline=None)
+def test_shared_trace_matches_per_duration_oracle(n, shape, profile, durations,
+                                                  height, salt):
     # one trace for all specs reads the same braid, spec by spec, as tracing
     # every loop on its own; a sample is rejected iff some loop rejects it
     rng = np.random.default_rng((1729, salt))
@@ -290,7 +300,7 @@ def test_shared_trace_matches_per_duration_oracle(n, shape, durations, height,
         x = random_tuple(rng, n)
     except TraceRejection:
         return
-    specs = spec_lists(height, shape, durations)
+    specs = spec_lists(height, shape, profile, durations)
     base = base_tuple(n)
     try:
         words = trace_words(specs, x, base)
@@ -333,13 +343,17 @@ def test_collision_on_any_outbound_path_rejects_the_sample():
 
 
 def test_flow_passing_too_close_rejects_the_sample():
-    # the inner point turns half-way round, to 0.3 from the fixed outer one;
-    # the flow shared by both durations is checked up to the longer one
-    base = base_tuple(2, 0.5)
-    x = tuple_from_coords([-0.3, 0.6])
-    quarter, full = single_flow(STEP, 0.25), single_flow(STEP, 1.0)
-    _trace_legs([quarter], x, base, 0.35, DEFAULT_MAX_STEP)
+    # the inner point turns at rate 1 and the outer one, 1e-12 beyond the
+    # profile's edge, stands still; at t = 0.5 the inner point arrives 5e-10
+    # from it, inside the separation bound.  The flow shared by both
+    # durations is checked up to the longer one
+    edge = RadialProfile(((0.5, 1.0), (0.5 + 1e-12, 0.0)))
+    base = base_tuple(2)
+    x = tuple_from_coords([-0.5, 0.5 + 5e-10])
+    quarter, full = single_flow(edge, 0.25), single_flow(edge, 1.0)
+    build_loop(quarter, x, base)
+    trace_words([quarter], x, base)
     with pytest.raises(PathCollisionError, match="flow"):
-        build_loop(full, x, base, delta_sep=0.35)
+        build_loop(full, x, base)
     with pytest.raises(PathCollisionError, match="flow"):
-        _trace_legs([quarter, full], x, base, 0.35, DEFAULT_MAX_STEP)
+        trace_words([quarter, full], x, base)

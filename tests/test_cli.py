@@ -228,6 +228,15 @@ def test_seed_flag_reaches_report(tmp_path):
     # no knot at a positive radius to bound the sampling disc
     ("coarea-check", {"profile": {"type": "constant", "value": 1.0}}, []),
     ("coarea-check", {"profile": {"knots": [[0, 0]]}}, []),
+    # true and false are no numbers, though float() reads them as 1 and 0
+    ("lp-length", {"t_list": [True, 2]}, []),
+    ("gg-check", {"tolerance_rel": True}, []),
+    ("gg-check", {"t_list": [True, 2, 3]}, []),
+    ("embed-demo", {"p": True}, []),
+    ("psi-bound", {"tol": True}, []),
+    ("braid-of-flow", {"duration": True}, []),
+    ("braid-of-flow", {"x": [[True, 0.1], [0.3, 0.2], [-0.4, 0.5]]}, []),
+    ("coarea-check", {"t_choices": [True]}, []),
 ])
 def test_bad_input_is_a_one_line_config_error(tmp_path, capsys, command,
                                               config, flags):

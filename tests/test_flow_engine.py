@@ -28,8 +28,8 @@ RIGID_L2 = 2.0 * math.pi * math.sqrt(math.pi / 3.0)
 
 
 def flow_at(spec, t, z):
-    """The time-t image of the chart point z, read off its trajectory."""
-    return complex(trajectory(spec, ChartPoint(complex(z)), [t])[0])
+    """The time-t image of the chart coordinate z, read off its trajectory."""
+    return complex(trajectory(spec, [z], [t])[0, 0])
 
 
 def knot_strategy():
@@ -83,22 +83,26 @@ def test_lp_length_empty_spec_is_zero():
 
 def test_full_turn_is_identity_inside_plateau():
     spec = single_flow(step_profile(1.0, 0.6))
-    z = ChartPoint(0.2 + 0.3j)
-    assert flow_at(spec, 1.0, z.coord) == pytest.approx(z.coord, abs=1e-12)
+    z = 0.2 + 0.3j
+    assert flow_at(spec, 1.0, z) == pytest.approx(z, abs=1e-12)
 
 
 def test_trajectory_is_a_one_parameter_group():
-    # flowing s, then t from where it arrived, is flowing s + t
+    # flowing s, then t from where it arrived, is flowing s + t; each point
+    # of a tuple moves on its own, one column per point and one row per time
     spec = single_flow(step_profile(0.7, 0.9), duration=2.0)
-    z = ChartPoint(0.4 - 0.2j)
+    zs = np.array([0.4 - 0.2j, 0.95 + 0.1j, -1.3j])
     ts = np.linspace(0.0, 2.0, 7)
-    path = trajectory(spec, z, ts)
-    assert path[0] == z.coord
-    for s, zs in zip(ts, path):
+    path = trajectory(spec, zs, ts)
+    assert path.shape == (7, 3)
+    assert np.array_equal(path[0], zs)
+    for k, z in enumerate(zs):
+        assert np.array_equal(path[:, k], trajectory(spec, [z], ts)[:, 0])
+    for s, row in zip(ts, path):
         for t in ts:
-            assert flow_at(spec, float(t), zs) == pytest.approx(
-                flow_at(spec, float(s + t), z.coord))
-        assert abs(zs) == pytest.approx(abs(z.coord))
+            assert trajectory(spec, row, [t])[0] == pytest.approx(
+                trajectory(spec, zs, [s + t])[0])
+        assert np.abs(row) == pytest.approx(np.abs(zs))
 
 
 def test_velocity_is_tangent_rotation():
@@ -147,16 +151,15 @@ def test_overlapping_supports_rejected():
 
 def test_power_matches_repeated_flow():
     spec = single_flow(step_profile(0.9, 0.7), duration=1.5)
-    z = ChartPoint(0.3 + 0.2j)
-    three = flow_at(power(spec, 3), power(spec, 3).duration, z.coord)
-    direct = z.coord
+    z = 0.3 + 0.2j
+    three = flow_at(power(spec, 3), power(spec, 3).duration, z)
+    direct = z
     for _ in range(3):
         direct = flow_at(spec, spec.duration, direct)
     assert three == pytest.approx(direct)
     inverse = power(spec, -1)
-    back = flow_at(inverse, inverse.duration,
-                   flow_at(spec, spec.duration, z.coord))
-    assert back == pytest.approx(z.coord)
+    back = flow_at(inverse, inverse.duration, flow_at(spec, spec.duration, z))
+    assert back == pytest.approx(z)
     assert power(spec, 0).components == tuple()
 
 
